@@ -1,29 +1,25 @@
-// Parallel-replay bench: sharded ticking + sharded replay phases vs serial.
+// Parallel-replay bench: the sharded ENoC router tick vs serial.
 //
-// Replays five 64-node workloads (8x8 mesh, and one 4x4x4 3D mesh) with
+// Replays four 64-node workloads (8x8 mesh, and one 4x4x4 3D mesh) with
 // 1, 2 and 4 worker threads on one long-lived ReplaySession each:
 //
 //  * saturated      — dense ENoC bursts, most routers hold flits most
 //                     cycles: the router-tick sharding sweet spot.
 //  * sparse         — a few ENoC messages at a time: the adaptive grain
 //                     must keep cycles serial and cost nothing.
-//  * onoc_saturated — the dense bursts over the token-ring ONoC: per-channel
-//                     arbitration shards, and the dependency-dense trace
-//                     keeps the session's sharded delivered-scan and batch
-//                     sort busy.
-//  * hybrid         — the same dependency-dense mix steered across both
-//                     planes, each sharding its own per-cycle flush.
+//  * hybrid         — a dependency-dense mix steered across both planes:
+//                     the electrical layer shards its tick, the optical
+//                     layer and the replay engine's phases run serially.
 //  * mesh3d_saturated — the dense bursts on a 4x4x4 3D mesh with XYZ
 //                     routing: the graph-backed topology core and the
 //                     variable-radix router path under full load.
 //
 // Every configuration's schedule must be bit-identical to serial (the
 // engine's core claim; always enforced). The speedup floors (saturated
-// >= 1.5x and onoc_saturated >= 1.3x at 4 threads, sparse/hybrid >= 1.0x)
-// are enforced only when the host actually has >= 4 hardware threads — on
-// smaller machines the numbers are still emitted for the record, but no
-// wall-clock win is physically possible and the determinism verdicts are
-// the gate.
+// >= 1.5x at 4 threads, sparse/hybrid/mesh3d >= 1.0x) are enforced only
+// when the host actually has >= 4 hardware threads — on smaller machines
+// the numbers are still emitted for the record, but no wall-clock win is
+// physically possible and the determinism verdicts are the gate.
 //
 // Emits bench_results/BENCH_parallel_replay.json; `--smoke` runs a reduced
 // configuration for CI.
@@ -67,7 +63,7 @@ double best_seconds(int reps, const std::function<void()>& fn) {
 /// (inject[child] - arrive[parent], the invariant ReplayTrace validates) is
 /// small and non-negative — but each delivery now feeds the session's
 /// delivered-dependency scan and every cycle's injection batch goes through
-/// the (sharded) eligibility sort.
+/// the eligibility sort.
 trace::Trace make_workload(int bursts, int msgs_per_burst, Cycle stride,
                            std::uint32_t bytes, bool with_deps = false,
                            NodeId nodes = 64) {
@@ -163,8 +159,8 @@ int run(bool smoke) {
       make_workload(bursts, 48, /*stride=*/2, /*bytes=*/128);
   const trace::Trace sparse =
       make_workload(bursts, 4, /*stride=*/400, /*bytes=*/64);
-  // Optical cases ride the dependency-dense variant: deliveries feed the
-  // sharded delivered-scan and every cycle's batch goes through the sort.
+  // The hybrid rides the dependency-dense variant: deliveries feed the
+  // delivered-scan and every cycle's batch goes through the sort.
   const trace::Trace dep_dense =
       make_workload(bursts, 48, /*stride=*/2, /*bytes=*/128, /*with_deps=*/true);
   const core::ReplayTrace rt_sat(saturated);
@@ -182,8 +178,6 @@ int run(bool smoke) {
       measure("saturated", rt_sat, bench::enoc_spec(mesh), reps, 1.5));
   results.push_back(
       measure("sparse", rt_sparse, bench::enoc_spec(mesh), reps, 1.0));
-  results.push_back(measure("onoc_saturated", rt_deps,
-                            bench::onoc_token_spec(mesh), reps, 1.3));
   results.push_back(measure("hybrid", rt_deps, hybrid_spec, reps, 1.0));
   // 3D lattice under the same dense bursts (64 nodes as a 4x4x4 cube, XYZ
   // routing via enoc_spec's default_algo). The identity gate applies as
@@ -195,7 +189,7 @@ int run(bool smoke) {
   const unsigned hw = default_parallelism();
   const bool enforce_speedup = hw >= 4;
 
-  Table table("parallel replay: sharded ticking + replay phases vs serial, 8x8");
+  Table table("parallel replay: sharded ENoC tick vs serial, 8x8");
   table.set_header({"workload", "threads", "ms/pass", "speedup", "identical"});
   for (const WorkloadResult& w : results) {
     for (const ThreadPoint& pt : w.points) {

@@ -171,7 +171,7 @@ int run(bool smoke) {
     core::ReplayConfig par;
     par.threads = 2;
     core::ReplaySession session(rt, spec_for(heavy), par);
-    session.set_parallel_grains_for_test(0);
+    session.network().set_parallel_grain(0);
     session.run();
     const Cell* serial = nullptr;
     for (const Cell& c : cells) {

@@ -3,10 +3,11 @@
 //   sctm_cli capture  --app fft --net enoc --out /tmp/t.trc2 [--cores 16]
 //                     [--lines 16] [--iters 2] [--mesh 4x4] [--format v1|v2]
 //   sctm_cli replay   --trace /tmp/t.trc2 --net onoc-token [--mode sctm]
-//                     [--window W] [--iters-max 8] [--csv out.csv]
+//                     [--window W] [--iters-max 8] [--threads N]
+//                     [--csv out.csv]
 //   sctm_cli explore  --trace /tmp/t.trc2 --candidates cands.cfg
-//                     [--screen-top K] [--threads N] [--mode sctm]
-//                     [--window W] [--csv out.csv]
+//                     [--screen-top K] [--threads N] [--tick-threads N]
+//                     [--mode sctm] [--window W] [--csv out.csv]
 //   sctm_cli inspect  --trace /tmp/t.trc2 [--text]
 //   sctm_cli exec     --app fft --net onoc-setup [...]   (execution-driven)
 //   sctm_cli validate --json metrics.json     (schema-check a metrics doc)
@@ -28,7 +29,14 @@
 //
 // Run subcommands take --topo <spec> (mesh:WxH, torus:WxH, ring:N,
 // mesh3d:XxYxZ, torus3d:XxYxZ, file:<path>) in addition to the legacy
-// --mesh WxH shorthand.
+// --mesh WxH shorthand. Without either, the fabric is the square mesh that
+// fits the trace's node count (replay, explore) or --cores (capture, exec);
+// when given, the fabric must have exactly that many nodes.
+//
+// --threads (replay) and --tick-threads (explore) set the lanes of the
+// sharded ENoC router tick, the one intra-pass parallel path: 1 = serial
+// (default), 0 = one per hardware thread. Schedules are bit-identical for
+// any value. explore's --threads sets candidate workers instead.
 //
 // Every run subcommand accepts --stats-json <path> to emit the machine-
 // readable run-metrics document (schema sctm.run_metrics.v1: manifest +
@@ -36,13 +44,17 @@
 // matching schema checker, used by CI as the emission gate.
 //
 // Networks: ideal | enoc | onoc-token | onoc-setup | onoc-swmr | hybrid.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/json.hpp"
@@ -80,7 +92,7 @@ using namespace sctm;
       "  sctm_cli explore --trace <file> --candidates <config> "
       "[--screen-top K] [--threads N] [--tick-threads N] "
       "[--mode naive|sctm] [--window W] "
-      "[--iters-max N] [--csv <file>] [--faults <cfg>]\n"
+      "[--iters-max N] [--csv <file>] [--mesh WxH] [--faults <cfg>]\n"
       "  sctm_cli inspect --trace <file> [--text]\n"
       "  sctm_cli exec    --app <name> --net <kind> [--cores N] [--lines N] "
       "[--iters N] [--mesh WxH] [--stats <file>] [--faults <cfg>]\n"
@@ -96,6 +108,14 @@ using namespace sctm;
       "  sctm_cli topo verify   <file|spec> [--algo <routing>]\n"
       "run subcommands also accept --topo <spec>; a spec is mesh:WxH, "
       "torus:WxH, ring:N, mesh3d:XxYxZ, torus3d:XxYxZ or file:<path>\n"
+      "without --mesh/--topo the fabric is the square mesh that fits the "
+      "trace (replay, explore) or --cores (capture, exec); with one, its "
+      "node count must match; explore candidates without net.topology/"
+      "net.mesh_* keys inherit it\n"
+      "--threads N (replay) / --tick-threads N (explore): lanes for the "
+      "sharded ENoC router tick (hybrid: its electrical layer), 1 = serial, "
+      "0 = one per hardware thread; schedules are identical for any value. "
+      "explore --threads N sets candidate workers (0 = hardware)\n"
       "all run subcommands accept --stats-json <file> (machine-readable "
       "run metrics)\n"
       "--faults reads a config of fault.* keys (rates, timeouts, seed) and "
@@ -207,17 +227,61 @@ void apply_faults_flag(const std::map<std::string, std::string>& f,
   spec.fault = fault::FaultSpec::from_config(Config::from_file(it->second));
 }
 
-core::NetSpec spec_from(const std::map<std::string, std::string>& f) {
+/// The fabric named by --topo (or its --mesh shorthand; --topo wins when
+/// both are given), with the flag as typed for error messages.
+std::optional<std::pair<noc::Topology, std::string>> fabric_flag(
+    const std::map<std::string, std::string>& f) {
+  if (const auto t = f.find("topo"); t != f.end()) {
+    return std::pair{parse_topo_spec(t->second), "--topo " + t->second};
+  }
+  if (const auto m = f.find("mesh"); m != f.end()) {
+    return std::pair{parse_mesh(m->second), "--mesh " + m->second};
+  }
+  return std::nullopt;
+}
+
+/// The one fabric rule of every run subcommand: `nodes` tiles (a trace's
+/// node count, or --cores) run on the --mesh/--topo fabric, which must have
+/// exactly that many nodes, or — when neither flag is given — on the square
+/// sqrt(N) x sqrt(N) mesh. `what` names the node-count source in errors.
+noc::Topology fabric_for(const std::map<std::string, std::string>& f,
+                         int nodes, const std::string& what) {
+  const std::string n = std::to_string(nodes);
+  if (auto flag = fabric_flag(f)) {
+    const int have = flag->first.node_count();
+    if (have != nodes) {
+      usage((what + " disagrees with " + flag->second + " (" + n +
+             " nodes vs " + std::to_string(have) + ")")
+                .c_str());
+    }
+    return flag->first;
+  }
+  long long side = 1;  // 64-bit: side * side must not overflow near INT_MAX
+  while (side * side < nodes) ++side;
+  if (side * side != nodes) {
+    usage((what + ": " + n + " nodes is not a square mesh; pass --mesh WxH "
+           "or --topo <spec>").c_str());
+  }
+  return noc::Topology::mesh(static_cast<int>(side), static_cast<int>(side));
+}
+
+/// Fabric for capture/exec: --cores picks the square mesh (or must agree
+/// with --mesh/--topo); without --cores the fabric flags, else mesh 4x4.
+noc::Topology exec_fabric(const std::map<std::string, std::string>& f) {
+  if (const auto c = f.find("cores"); c != f.end()) {
+    return fabric_for(f, std::stoi(c->second), "--cores " + c->second);
+  }
+  if (auto flag = fabric_flag(f)) return flag->first;
+  return core::NetSpec{}.topo;
+}
+
+core::NetSpec spec_from(const std::map<std::string, std::string>& f,
+                        const noc::Topology& topo) {
   core::NetSpec spec;
   const auto net = f.find("net");
   if (net == f.end()) usage("--net required");
   spec.kind = net_kind(net->second);
-  if (const auto m = f.find("mesh"); m != f.end()) {
-    spec.topo = parse_mesh(m->second);
-  }
-  if (const auto t = f.find("topo"); t != f.end()) {
-    spec.topo = parse_topo_spec(t->second);
-  }
+  spec.topo = topo;
   // The flags carry no routing algorithm: every fabric gets its natural one
   // (kXY for a 2D mesh, exactly as before --topo existed).
   spec.enoc.routing = noc::default_algo(spec.topo);
@@ -232,10 +296,7 @@ fullsys::AppParams app_from(const std::map<std::string, std::string>& f,
   const auto a = f.find("app");
   if (a == f.end()) usage("--app required");
   app.name = a->second;
-  app.cores = spec.topo.node_count();
-  if (const auto it = f.find("cores"); it != f.end()) {
-    app.cores = std::stoi(it->second);
-  }
+  app.cores = spec.topo.node_count();  // exec_fabric checked --cores
   if (const auto it = f.find("lines"); it != f.end()) {
     app.lines_per_core = std::stoi(it->second);
   } else {
@@ -282,7 +343,7 @@ void maybe_emit_stats_json(const std::map<std::string, std::string>& f,
 }
 
 int cmd_capture(const std::map<std::string, std::string>& f) {
-  const auto spec = spec_from(f);
+  const auto spec = spec_from(f, exec_fabric(f));
   const auto app = app_from(f, spec);
   const auto out = f.find("out");
   if (out == f.end()) usage("--out required");
@@ -325,8 +386,8 @@ core::ReplayConfig replay_cfg_from(const std::map<std::string, std::string>& f) 
   if (const auto it = f.find("iters-max"); it != f.end()) {
     cfg.max_iterations = std::stoi(it->second);
   }
-  // Sharded-tick worker count: 1 (the ReplayConfig default) = serial, 0 =
-  // one lane per hardware thread via resolve_threads(). Results are
+  // ENoC router-tick lanes: 1 (the ReplayConfig default) = serial, 0 = one
+  // lane per hardware thread via resolve_threads(). Results are
   // bit-identical for any value; `replay` also accepts the shorter
   // --threads, while `explore` reserves that name for candidate workers.
   if (const auto it = f.find("tick-threads"); it != f.end()) {
@@ -341,13 +402,7 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
   // v2 containers stream chunk-at-a-time into the replay representation; a
   // whole record vector-of-vectors is never materialized.
   const auto loaded = core::load_replay_trace(tr->second);
-  auto spec = spec_from(f);
-  // Default the fabric to the trace's node count when not overridden.
-  if (f.find("mesh") == f.end() && loaded.nodes() == 16) {
-    spec.topo = noc::Topology::mesh(4, 4);
-  } else if (f.find("mesh") == f.end() && loaded.nodes() == 64) {
-    spec.topo = noc::Topology::mesh(8, 8);
-  }
+  const auto spec = spec_from(f, fabric_for(f, loaded.nodes(), "trace"));
 
   core::ReplayConfig cfg = replay_cfg_from(f);
   if (const auto it = f.find("threads"); it != f.end()) {
@@ -395,6 +450,31 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
   // file:line anchors.
   const Config cand_cfg = Config::from_file(cand_path);
   auto candidates = core::candidates_from_config(cand_cfg, cand_path);
+  // Candidates that name no fabric inherit the trace's (the same rule as
+  // `replay`); one that names a fabric must fit the trace.
+  const noc::Topology fabric = fabric_for(f, rt.nodes(), "trace");
+  const auto keys = cand_cfg.keys();
+  for (auto& c : candidates) {
+    const std::string key = "candidate." + c.name + ".";
+    const bool names_fabric =
+        std::any_of(keys.begin(), keys.end(), [&](const std::string& k) {
+          return k.rfind(key + "net.topology", 0) == 0 ||
+                 k.rfind(key + "net.mesh_", 0) == 0;
+        });
+    if (!names_fabric) {
+      c.spec.topo = fabric;
+      if (!cand_cfg.contains(key + "enoc.routing")) {
+        c.spec.enoc.routing = noc::default_algo(fabric);
+        c.spec.hybrid.electrical.routing = c.spec.enoc.routing;
+      }
+    } else if (c.spec.topo.node_count() != rt.nodes()) {
+      throw std::runtime_error(
+          cand_path + ": candidate '" + c.name + "': fabric " +
+          c.spec.topo.describe() + " has " +
+          std::to_string(c.spec.topo.node_count()) +
+          " nodes but the trace has " + std::to_string(rt.nodes()));
+    }
+  }
   // --faults supplies the shared fault regime; a candidate's own fault.*
   // keys (if any) win over it.
   if (const auto it = f.find("faults"); it != f.end()) {
@@ -513,7 +593,7 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
 }
 
 int cmd_exec(const std::map<std::string, std::string>& f) {
-  const auto spec = spec_from(f);
+  const auto spec = spec_from(f, exec_fabric(f));
   const auto app = app_from(f, spec);
   const auto exec = core::run_execution(app, spec, {});
   const auto s = core::summarize(exec.trace);

@@ -24,16 +24,12 @@
 // throwaway session; exploration keeps one long-lived session per worker
 // thread and rebind()s it only when the candidate's NetSpec differs.
 //
-// Sharded replay phases (config.threads != 1): beyond handing the pool to
-// the network tick, the session shards its own hot loops — the seed scan
-// (pending-count fill over the kept-deps CSR), the per-cycle delivered-
-// dependency scan, the eligibility-batch sort and the iterative engine's
-// bound/residual recompute. Every parallel phase is pure (per-shard output
-// lists or disjoint writes) and is followed by a serial drain in ascending
-// shard order — the serial engine's exact visit order — so schedules,
-// sequence numbers and the full stat registry are bit-identical at any
-// thread count. Sparse cycles stay serial via per-phase adaptive grains,
-// and warmed-up passes stay allocation-free. See DESIGN.md §10.
+// Parallelism (config.threads != 1): the session owns a WorkerPool and
+// installs it on the kernel, where the ENoC router tick — the one intra-pass
+// parallel path — shards its cycles over it, bit-identically to serial
+// (DESIGN.md §10). The session's own phases (seed scan, per-cycle
+// delivered-dependency scan, eligibility-batch sort, bound and residual
+// recompute) are plain serial loops.
 #pragma once
 
 #include <memory>
@@ -55,8 +51,8 @@ class ReplaySession {
   /// precomputed enforced-dependency CSR (must outlive the session and match
   /// `config`); when null the session builds and owns its own.
   /// config.threads != 1 makes the session own a WorkerPool and install it
-  /// on the kernel; backends that support partitioned ticking (ENoC) shard
-  /// their cycles over it, bit-identically to serial.
+  /// on the kernel; the ENoC router tick shards its cycles over it,
+  /// bit-identically to serial.
   ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
                 const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
 
@@ -120,14 +116,6 @@ class ReplaySession {
   const noc::Network& network() const { return *net_; }
   noc::Network& network() { return *net_; }
 
-  /// Forces every per-phase adaptive grain — the network tick, the
-  /// delivered-dependency scan, the seed/bound scans and the eligibility
-  /// batch sort — to `grain`. 0 shards every phase whenever the session owns
-  /// a pool; tests use this to engage sharding on small traces. Applies to
-  /// the currently bound network (rebind to a new network reverts its tick
-  /// grain to the backend default).
-  void set_parallel_grains_for_test(unsigned grain);
-
  private:
   void bind_network(const NetworkFactory& factory);
   void run_pass_prepared();  // bound_ already filled; core of every pass
@@ -162,25 +150,12 @@ class ReplaySession {
   EligibilityBatcher eligible_;
   std::vector<ReplayResult::IterationRecord> log_;  // run()'s pass log
 
-  // Sharded-phase state. Deliveries of the current cycle buffer here (in
-  // delivery order) for the late-band dependency scan; the scan's parallel
-  // phase appends (child, ready-contribution) hits to per-shard lists that
-  // the serial drain applies in ascending shard order — exactly the order
-  // the per-delivery handler visited them serially. The seed scan's
-  // eligible-record lists work the same way. All capacity-retaining.
-  struct DepHit {
-    std::uint32_t child;
-    Cycle ready;
-  };
+  /// Deliveries of the current cycle with children, in delivery order; the
+  /// late-band dependency scan drains them. Capacity retained.
   std::vector<std::uint32_t> delivered_;
-  std::vector<std::vector<DepHit>> scan_shards_;
-  std::vector<std::vector<std::uint32_t>> seed_shards_;
-  std::vector<double> residual_shards_;
   /// Cycles with a scheduled on_cycle event (the unified late-band event:
   /// delivered scan, then eligibility flush — one per cycle).
   FlatMap<Cycle, std::uint32_t> cycle_event_at_;
-  unsigned scan_grain_ = 8;    // delivered msgs per lane before sharding
-  unsigned record_grain_ = 256;  // records per lane (seed/bound/residual)
 
   ReplayResult result_;
   double pass_wall_ = 0.0;  // wall seconds of the latest pass

@@ -17,11 +17,12 @@
 // (every pipeline phase early-outs on empty buffers), which the exhaustive
 // tick mode (set_exhaustive_tick_for_test) lets tests verify directly.
 //
-// Sharded parallel ticking: one cycle's router work may be split across the
-// Simulator's WorkerPool. Router ticks are pure per-router (side effects go
-// to a per-shard RouterOutbox, never to the network), so shards race on
-// nothing; the dispatching thread then drains outboxes in ascending shard —
-// hence ascending router-id — order, replaying the serial engine's exact
+// Sharded parallel ticking — the simulator's one intra-pass parallel path:
+// one cycle's router work may be split across the Simulator's WorkerPool.
+// Router ticks are pure per-router (side effects go to a per-shard
+// RouterOutbox, never to the network), so shards race on nothing; the
+// dispatching thread then drains outboxes in ascending shard — hence
+// ascending router-id — order, replaying the serial engine's exact
 // side-effect sequence. Every mode (serial, parallel, exhaustive oracle)
 // routes through the same outbox+drain path, so results are bit-identical
 // for every thread count by construction. See DESIGN.md §10.
@@ -60,10 +61,6 @@ class EnocNetwork final : public noc::Network {
   /// topology binding survive. Ends in the reset() state (the owning
   /// Simulator must be reset alongside, as for reset()).
   void reparameterize(const EnocParams& params);
-
-  bool partitioned_tick_supported() const override { return true; }
-  void tick_partitioned(unsigned shard, unsigned nshards) override;
-  void drain_ticks() override;
 
   /// Fault injection (DESIGN.md §11): link-level faults — payload
   /// corruption, flit drop, stuck-at episodes — are drawn per link traversal
@@ -131,6 +128,12 @@ class EnocNetwork final : public noc::Network {
   void ensure_ticking();
   void mark_active(NodeId n);
   void prepare_shards(unsigned nshards);
+  /// Ticks shard `shard` of `nshards` — serially (shard 0 of 1) or
+  /// concurrently from pool lanes; touches only shard-local state.
+  void tick_partitioned(unsigned shard, unsigned nshards);
+  /// Applies the side effects the preceding tick_partitioned calls recorded,
+  /// in ascending shard order, on the event-dispatching thread.
+  void drain_ticks();
 
   struct PendingMsg {
     noc::Message msg;

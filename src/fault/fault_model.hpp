@@ -6,20 +6,18 @@
 // in the network that draws it (enoc/onoc code decides what a corrupted flit
 // or a lost token means for its datapath).
 //
-// Determinism at any thread count is a stream-placement argument, mirroring
-// the engine's own invariant (DESIGN.md §10/§11):
+// Every draw happens at a serial point, so the fault schedule is the same
+// at any thread count (DESIGN.md §10/§11):
 //
 //  * Serial streams (ENoC flit faults, reservation loss, optical data
-//    corruption) are consumed only at serial points — the outbox drain and
-//    event dispatch — whose order is bit-identical to the serial engine at
-//    any shard count, so one stream per class suffices.
-//  * The per-channel stream family (token loss) is consumed inside
-//    tick_partitioned() lanes. Each channel is owned by exactly one shard
-//    and its request order is the shard-invariant per-channel arrival
-//    subsequence, so giving every channel its own child stream makes the
-//    draw sequence per channel — and hence every grant — independent of the
-//    shard count. Lane code must never touch shared counters; shards count
-//    locally and fold the totals in at drain (note_token_losses).
+//    corruption) are consumed at the ENoC outbox drain and at event
+//    dispatch, whose order is bit-identical to the serial engine at any
+//    shard count, so one stream per class suffices.
+//  * Token loss draws from a per-channel child stream in the ONoC
+//    arbitration flush. Each channel's draw sequence follows its own
+//    request arrival order, so a channel's losses do not depend on traffic
+//    on other channels; these streams define the faulted token-ring
+//    schedules.
 //
 // reset() re-derives every stream from the spec seed and clears the retry
 // table in place, so a reset-reused session replays the exact fault schedule
@@ -63,11 +61,9 @@ class FaultModel {
   void note_stuck_hit();
 
   // --- ONoC plane ----------------------------------------------------------
-  /// Token-loss draw for one arbitration request on `channel`. Safe from a
-  /// pool lane: touches only the channel's own stream, counts nothing.
+  /// Token-loss draw for one arbitration request on `channel`, from the
+  /// channel's own stream. Serial arbitration flush only.
   bool draw_token_loss(int channel);
-  /// Folds shard-local token-loss counts into the registry. Serial drain only.
-  void note_token_losses(std::uint64_t n);
 
   /// Reservation (path-setup grant) loss. Serial control path only.
   bool draw_reservation_loss();

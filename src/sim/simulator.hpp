@@ -76,9 +76,9 @@ class Simulator {
   /// components may use to shard one cycle's work between two barriers. The
   /// kernel itself stays single-threaded: events are dispatched serially and
   /// a component that consults the pool must drain all side effects back on
-  /// the dispatching thread before its event returns (see the
-  /// noc::Network::tick_partitioned contract). Survives reset() — the pool
-  /// is session infrastructure, not simulation state.
+  /// the dispatching thread before its event returns (the ENoC router tick
+  /// is the one such component; see enoc/enoc_network.hpp). Survives
+  /// reset() — the pool is session infrastructure, not simulation state.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
   WorkerPool* worker_pool() const { return pool_; }
 

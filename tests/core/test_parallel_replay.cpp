@@ -1,14 +1,13 @@
 // Determinism matrix for parallel replay: a ReplaySession with any worker
 // thread count must produce bit-identical results — full schedules, derived
 // runtime, kernel event counts AND the complete final stat registry — on
-// every network kind. Every per-phase grain is forced to 0 so every
-// shardable phase actually shards on this small trace: the ENoC router
-// tick, the ONoC channel arbitration (token and SWMR; hybrid shards both
-// planes), the session's seed scan, the per-cycle delivered-dependency
-// scan, the eligibility-batch sort, and the iterative bound/residual
-// recompute. The matrix also pins the in-place rebind fast path against
-// fresh construction, and the ReplayConfig::threads convention (1 = serial
-// default, 0 = hardware) against resolve_threads().
+// every network kind. The ENoC tick grain is forced to 0 so the one
+// intra-pass parallel path, the ENoC router tick (hybrid: its electrical
+// layer), shards every cycle on this small trace; the other kinds prove
+// that installing a pool leaves the serial backends untouched. The matrix
+// also pins the in-place rebind fast path against fresh construction, and
+// the ReplayConfig::threads convention (1 = serial default, 0 = hardware)
+// against resolve_threads().
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
@@ -76,7 +75,7 @@ MatrixRun run_spec_with_threads(const ReplayTrace& rt, const NetSpec& spec,
   ReplayConfig cfg;
   cfg.threads = threads;
   ReplaySession session(rt, spec, cfg);
-  session.set_parallel_grains_for_test(0);  // shard every phase, every cycle
+  session.network().set_parallel_grain(0);  // shard every ENoC cycle
   session.run();
   MatrixRun out;
   out.stats_report = session.result().stats.report();
@@ -208,40 +207,11 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TopologyReplayMatrix,
                            return name;
                          });
 
-// --- Sharded eligibility / dispatch phases --------------------------------
+// --- Iterative refinement / threads convention ------------------------------
 
-// The session's own sharded phases (seed scan, delivered-dependency scan,
-// batch sort, bound/residual recompute) must be bit-identical to serial
-// independent of the network's tick sharding: run the ENoC with its tick
-// grain left at the default (so small cycles tick serially) while the
-// session grains are forced to 0 — only the replay-engine phases shard.
-TEST(ShardedEligibility, SessionPhasesAloneAreBitIdenticalToSerial) {
-  const ReplayTrace& rt = shared_rt();
-  ReplayConfig serial_cfg;
-  ReplaySession serial(rt, spec_of(NetKind::kEnoc), serial_cfg);
-  serial.run();
-  const std::string serial_stats = serial.result().stats.report();
-
-  for (const unsigned threads : {2u, 3u, 8u}) {
-    ReplayConfig cfg;
-    cfg.threads = threads;
-    ReplaySession session(rt, spec_of(NetKind::kEnoc), cfg);
-    session.set_parallel_grains_for_test(0);
-    session.network().set_parallel_grain(2);  // network: default adaptive
-    session.run();
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(session.result().inject_time, serial.result().inject_time)
-        << what;
-    EXPECT_EQ(session.result().arrive_time, serial.result().arrive_time)
-        << what;
-    EXPECT_EQ(session.result().events, serial.result().events) << what;
-    EXPECT_EQ(session.result().stats.report(), serial_stats) << what;
-  }
-}
-
-// Truncated-window iterative refinement exercises the sharded bound and
-// residual recomputes between passes; the trajectory (iteration count and
-// per-pass residuals) must match serial exactly.
+// Truncated-window iterative refinement over a sharded ENoC tick; the
+// trajectory (iteration count and per-pass residuals) must match serial
+// exactly.
 TEST(ShardedEligibility, IterativeRefinementMatchesSerial) {
   const ReplayTrace& rt = shared_rt();
   ReplayConfig base;
@@ -252,7 +222,7 @@ TEST(ShardedEligibility, IterativeRefinementMatchesSerial) {
   ReplayConfig cfg = base;
   cfg.threads = 4;
   ReplaySession sharded(rt, spec_of(NetKind::kEnoc), cfg);
-  sharded.set_parallel_grains_for_test(0);
+  sharded.network().set_parallel_grain(0);
   sharded.run();
 
   EXPECT_EQ(sharded.result().iterations, serial.result().iterations);

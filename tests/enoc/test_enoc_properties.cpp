@@ -2,6 +2,7 @@
 // load across topologies / routings / loads (parameterized gtest).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "enoc/enoc_network.hpp"
@@ -20,6 +21,11 @@ struct Scenario {
   TrafficPattern pattern;
   double rate;
 };
+
+// Print a scenario by its name. gtest's default byte dump would include the
+// address of `name`, which changes from run to run under ASLR and so made the
+// ctest test names (which embed the printed parameter) nondeterministic.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
 
 class EnocLoadSweep : public ::testing::TestWithParam<Scenario> {};
 

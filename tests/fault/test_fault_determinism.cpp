@@ -1,10 +1,10 @@
 // Determinism matrix for fault injection (DESIGN.md §11): with every fault
 // class armed, a replay must be bit-identical — schedules, runtime, events,
 // and the complete final stat registry including the fault counters — at any
-// worker thread count, on every network kind, with every shardable phase
-// forced to shard (grain 0). The matrix also pins the session reset-reuse
-// protocol (a reused session replays the fresh fault schedule), the
-// zero-rate identity (an inert FaultSpec leaves results and stats
+// worker thread count, on every network kind, with the ENoC router tick
+// forced to shard every cycle (grain 0). The matrix also pins the session
+// reset-reuse protocol (a reused session replays the fresh fault schedule),
+// the zero-rate identity (an inert FaultSpec leaves results and stats
 // byte-identical to a run without the fault field), and the manifest echo of
 // the fault regime in the metrics document.
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ MatrixRun run_with_threads(const NetSpec& spec, unsigned threads) {
   ReplayConfig cfg;
   cfg.threads = threads;
   ReplaySession session(shared_rt(), spec, cfg);
-  session.set_parallel_grains_for_test(0);  // shard every phase, every cycle
+  session.network().set_parallel_grain(0);  // shard every ENoC cycle
   session.run();
   MatrixRun out;
   out.stats_report = session.result().stats.report();

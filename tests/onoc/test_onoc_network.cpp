@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "noc/traffic.hpp"
@@ -235,6 +236,60 @@ TEST(OnocNetwork, DataBytesAccounted) {
   net.inject(make_msg(2, 1, 2, 50));
   sim.run();
   EXPECT_EQ(net.data_bytes(), 150u);
+}
+
+// Delivery-chained re-arm: the flush that granted the original request has
+// run and disarmed by the time the request is delivered, so a reply injected
+// from the deliver callback must schedule a fresh late-band flush and be
+// granted in its delivery cycle. The reference injects the same reply from
+// an ordinary event at that cycle; both runs must agree exactly. Two large
+// transfers keep the reply's channel busy (token: receive channel 0, SWMR:
+// source channel 5) so the grant depends on the cycle it is computed at.
+std::vector<Message> run_reply(Arbitration arb, Cycle reply_at) {
+  Simulator sim;
+  OnocParams p;
+  p.arbitration = arb;
+  OnocNetwork net(sim, "onoc", Topology::mesh(4, 4), p);
+  std::vector<Message> got;
+  net.set_deliver_callback([&](const Message& m) {
+    got.push_back(m);
+    if (m.id == 1 && reply_at == kNoCycle) net.inject(make_msg(4, 5, 0, 64));
+  });
+  net.inject(make_msg(1, 0, 5, 64));
+  net.inject(make_msg(2, 7, 0, 4096));
+  net.inject(make_msg(3, 5, 9, 4096));
+  if (reply_at != kNoCycle) {
+    sim.schedule_at(reply_at, [&] { net.inject(make_msg(4, 5, 0, 64)); });
+  }
+  sim.run();
+  return got;
+}
+
+void expect_reply_granted_in_delivery_cycle(Arbitration arb) {
+  const std::vector<Message> chained = run_reply(arb, kNoCycle);
+  ASSERT_EQ(chained.size(), 4u);
+  const Cycle delivered = chained[0].arrive_time;
+  ASSERT_EQ(chained[0].id, 1u);
+  const auto reply = std::find_if(chained.begin(), chained.end(),
+                                  [](const Message& m) { return m.id == 4; });
+  ASSERT_NE(reply, chained.end());
+  EXPECT_EQ(reply->inject_time, delivered);
+
+  const std::vector<Message> reference = run_reply(arb, delivered);
+  ASSERT_EQ(reference.size(), chained.size());
+  for (std::size_t i = 0; i < chained.size(); ++i) {
+    EXPECT_EQ(chained[i].id, reference[i].id) << i;
+    EXPECT_EQ(chained[i].inject_time, reference[i].inject_time) << i;
+    EXPECT_EQ(chained[i].arrive_time, reference[i].arrive_time) << i;
+  }
+}
+
+TEST(OnocNetwork, DeliverCallbackReplyRearmsFlushToken) {
+  expect_reply_granted_in_delivery_cycle(Arbitration::kTokenRing);
+}
+
+TEST(OnocNetwork, DeliverCallbackReplyRearmsFlushSwmr) {
+  expect_reply_granted_in_delivery_cycle(Arbitration::kSwmr);
 }
 
 }  // namespace

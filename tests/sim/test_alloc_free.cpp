@@ -280,9 +280,8 @@ TEST(AllocFreeKernel, ShardedTickSteadyStateIsAllocationFree) {
   core::ReplayConfig cfg;
   cfg.threads = 4;
   core::ReplaySession session(rt, spec, cfg);
-  // Grain 0 everywhere: router-tick sharding plus the session's own sharded
-  // phases (seed scan, delivered-dependency scan, eligibility-batch sort).
-  session.set_parallel_grains_for_test(0);
+  // Grain 0: the router tick shards every cycle.
+  session.network().set_parallel_grain(0);
   session.run_pass();  // warmup: size pass buffers, shard outboxes, masks
   session.run_pass();  // warmup: prove the footprint converged
   const Cycle runtime = session.result().runtime;
@@ -302,9 +301,8 @@ TEST(AllocFreeKernel, ShardedTickSteadyStateIsAllocationFree) {
 TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
   // Same bar over the optical plane: the hybrid steers the workload across
   // both layers, so warmed-up passes exercise the ENoC shard outboxes AND
-  // the ONoC per-channel arbitration queues / grant outboxes, with the
-  // session's sharded scan/sort phases engaged on top. None of it may touch
-  // the heap after two warmup passes.
+  // the ONoC per-channel arbitration queues. None of it may touch the heap
+  // after two warmup passes.
   fullsys::AppParams app;
   app.name = "jacobi";
   app.cores = 16;
@@ -324,8 +322,8 @@ TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
   core::ReplayConfig cfg;
   cfg.threads = 4;
   core::ReplaySession session(rt, spec, cfg);
-  session.set_parallel_grains_for_test(0);
-  session.run_pass();  // warmup: size arb queues, grant outboxes, batches
+  session.network().set_parallel_grain(0);
+  session.run_pass();  // warmup: size arb queues, shard outboxes, batches
   session.run_pass();  // warmup: prove the footprint converged
   const Cycle runtime = session.result().runtime;
 
