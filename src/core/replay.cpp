@@ -1,6 +1,7 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/replay_session.hpp"
@@ -26,38 +27,63 @@ Histogram ReplayResult::latency_histogram() const {
 KeptDepsCsr build_kept_deps(const ReplayTrace& rt,
                             const ReplayConfig& config) {
   const std::uint32_t n = rt.size();
-  const bool naive = (config.mode == ReplayMode::kNaive);
   const std::uint32_t window = config.dependency_window;
 
   KeptDepsCsr csr;
-  csr.offset.assign(n + 1, 0);
-  if (naive) return csr;
+  csr.kept.assign(n, 0);
+  csr.child_offset.assign(n + 1, 0);
+  if (config.mode == ReplayMode::kNaive) return csr;
 
-  std::size_t total = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    total += std::min<std::size_t>(rt.dep_count(i), window);
-  }
-  csr.deps.reserve(total);
-
-  // Scratch reused across records: sort a record's full dependency list by
-  // (slack, parent) only when it overflows the window.
-  std::vector<trace::TraceDep> scratch;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (rt.dep_count(i) <= window) {
-      csr.deps.insert(csr.deps.end(), rt.deps_begin(i), rt.deps_end(i));
-    } else {
-      // The `window` smallest-slack dependencies (ties broken by parent id
-      // for determinism).
-      scratch.assign(rt.deps_begin(i), rt.deps_end(i));
-      std::sort(scratch.begin(), scratch.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.slack != b.slack) return a.slack < b.slack;
-                  return a.parent < b.parent;
-                });
-      csr.deps.insert(csr.deps.end(), scratch.begin(), scratch.begin() + window);
+  // Calls fn(k) for each kept position k of record i's full dependency list:
+  // all of them when the list fits the window, else the `window` smallest by
+  // (slack, parent id). `order` is scratch reused across records.
+  std::vector<std::uint32_t> order;
+  auto for_each_kept = [&](std::uint32_t i, auto&& fn) {
+    const std::uint32_t dc = rt.dep_count(i);
+    if (dc <= window) {
+      for (std::uint32_t k = 0; k < dc; ++k) fn(k);
+      return;
     }
-    csr.offset[i + 1] = static_cast<std::uint32_t>(csr.deps.size());
+    const trace::TraceDep* deps = rt.deps_begin(i);
+    order.resize(dc);
+    std::iota(order.begin(), order.end(), 0u);
+    std::partial_sort(order.begin(), order.begin() + window, order.end(),
+                      [deps](std::uint32_t a, std::uint32_t b) {
+                        if (deps[a].slack != deps[b].slack) {
+                          return deps[a].slack < deps[b].slack;
+                        }
+                        return deps[a].parent < deps[b].parent;
+                      });
+    for (std::uint32_t j = 0; j < window; ++j) fn(order[j]);
+  };
+
+  // Count edges per parent into child_offset[p + 1], prefix-sum to starts.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    csr.kept[i] = std::min(rt.dep_count(i), window);
+    for_each_kept(i, [&](std::uint32_t k) {
+      ++csr.child_offset[rt.dep_parent_index(i, k) + 1];
+    });
   }
+  for (std::uint32_t p = 0; p < n; ++p) {
+    csr.child_offset[p + 1] += csr.child_offset[p];
+  }
+  csr.child.resize(csr.child_offset[n]);
+  csr.slack.resize(csr.child_offset[n]);
+
+  // Fill in ascending child order, using child_offset[p] as p's cursor (it
+  // ends at p + 1's start; the shift below restores the starts).
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const trace::TraceDep* deps = rt.deps_begin(i);
+    for_each_kept(i, [&](std::uint32_t k) {
+      const std::uint32_t e = csr.child_offset[rt.dep_parent_index(i, k)]++;
+      csr.child[e] = i;
+      csr.slack[e] = deps[k].slack;
+    });
+  }
+  for (std::uint32_t p = n; p > 0; --p) {
+    csr.child_offset[p] = csr.child_offset[p - 1];
+  }
+  csr.child_offset[0] = 0;
   return csr;
 }
 
@@ -69,9 +95,8 @@ KeptDepsCsr build_kept_deps(const ReplayTrace& rt,
 
 ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
                          const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline,
-                         const KeptDepsCsr* kept) {
-  ReplaySession session(rt, factory, config, kept);
+                         const std::vector<Cycle>* baseline) {
+  ReplaySession session(rt, factory, config);
   session.run_pass(baseline);
   session.snapshot_stats();
   return session.take_result();

@@ -104,27 +104,30 @@ struct ReplayResult {
 using NetworkFactory =
     std::function<std::unique_ptr<noc::Network>(Simulator&)>;
 
-/// Per-record enforced-dependency sets in CSR form: record i's kept
-/// dependencies are deps[offset[i] .. offset[i+1]). Built once per trace
-/// (two flat arrays) instead of one std::vector copy per record per pass —
-/// the iterative engine replays the same trace many times.
+/// The enforced (kept) dependency edges of a trace, indexed by parent: the
+/// edges out of record p are [child_offset[p], child_offset[p+1]) of the
+/// parallel `child`/`slack` arrays, in ascending child order. A delivery
+/// walks exactly its own kept edges, so the per-cycle dependency scan costs
+/// O(edges resolved) however wide the full dependency lists are. Built once
+/// per trace and replay config; the iterative engine replays it many times.
 struct KeptDepsCsr {
-  std::vector<std::uint32_t> offset;  // size records+1
-  std::vector<trace::TraceDep> deps;  // flat, grouped by record
+  std::vector<std::uint32_t> kept;          // per record: enforced dep count
+  std::vector<std::uint32_t> child_offset;  // size records+1, parent-major
+  std::vector<std::uint32_t> child;         // dependent record index
+  std::vector<Cycle> slack;                 // parallels child
 
-  std::uint32_t count(std::uint32_t rec) const {
-    return offset[rec + 1] - offset[rec];
+  std::uint32_t count(std::uint32_t rec) const { return kept[rec]; }
+  std::uint32_t edges_begin(std::uint32_t parent) const {
+    return child_offset[parent];
   }
-  const trace::TraceDep* begin(std::uint32_t rec) const {
-    return deps.data() + offset[rec];
-  }
-  const trace::TraceDep* end(std::uint32_t rec) const {
-    return deps.data() + offset[rec + 1];
+  std::uint32_t edges_end(std::uint32_t parent) const {
+    return child_offset[parent + 1];
   }
 };
 
-/// Builds the enforced-dependency CSR for `rt` under `config` (empty sets
-/// in naive mode; the `window` smallest-slack deps per record otherwise).
+/// Builds the kept-edge index for `rt` under `config` in O(edges): no edges
+/// in naive mode; otherwise each record keeps its `window` smallest-slack
+/// deps (ties broken by parent id), or all of them when the list fits.
 KeptDepsCsr build_kept_deps(const ReplayTrace& rt, const ReplayConfig& config);
 
 /// Batches records that become eligible at the same cycle so they can be
@@ -196,13 +199,10 @@ class EligibilityBatcher {
 
 /// Single-pass replay (naive, or self-correcting with an optional window;
 /// `baseline` overrides the per-record lower bounds — pass captured inject
-/// times for the first iteration). `kept` may carry the precomputed
-/// dependency CSR; when null it is built internally for this pass. `rt` must
-/// be finalized.
+/// times for the first iteration). `rt` must be finalized.
 ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
                          const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline = nullptr,
-                         const KeptDepsCsr* kept = nullptr);
+                         const std::vector<Cycle>* baseline = nullptr);
 
 /// Full engine: naive mode and full-window self-correcting mode run one
 /// pass; truncated windows iterate to a fixed point per the config.

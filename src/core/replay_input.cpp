@@ -89,7 +89,7 @@ void ReplayTrace::finalize() {
   }
 
   dep_parent_idx_.resize(deps_.size());
-  std::vector<std::uint32_t> child_count(n, 0);
+  has_dependents_.assign(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t k = dep_offset_[i]; k < dep_offset_[i + 1]; ++k) {
       const trace::TraceDep& d = deps_[k];
@@ -107,22 +107,7 @@ void ReplayTrace::finalize() {
             "ReplayTrace: slack inconsistent with capture times");
       }
       dep_parent_idx_[k] = p;
-      ++child_count[p];
-    }
-  }
-
-  // Reverse CSR, filled in ascending dependent order — the same order
-  // DependencyGraph pushed children, so replay dispatch is bit-identical.
-  child_offset_.assign(n + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    child_offset_[i + 1] = child_offset_[i] + child_count[i];
-  }
-  children_.resize(deps_.size());
-  std::vector<std::uint32_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t k = dep_offset_[i]; k < dep_offset_[i + 1]; ++k) {
-      children_[cursor[dep_parent_idx_[k]]++] = i;
+      has_dependents_[p] = 1;
     }
   }
   finalized_ = true;

@@ -1,12 +1,12 @@
-// Replay-side trace representation: a flat structure-of-arrays plus
-// dependency CSRs, built either from an in-memory trace::Trace or streamed
+// Replay-side trace representation: a flat structure-of-arrays plus a
+// dependency CSR, built either from an in-memory trace::Trace or streamed
 // chunk-at-a-time out of a v2 container (src/tracestore).
 //
 // The replay engine used to walk trace.records directly, which forced the
 // whole Trace — one heap-allocated deps vector per record — to live next to
 // the engine's own per-record state. ReplayTrace replaces that with seven
-// POD arrays and two CSRs (full dependencies, with parents pre-resolved to
-// record indices; reverse children edges), so streamed ingestion decodes
+// POD arrays, the full-dependency CSR (parents pre-resolved to record
+// indices) and a per-record has-dependents flag, so streamed ingestion decodes
 // one chunk at a time into the flat arrays and the decoded chunk buffer is
 // recycled: peak memory is the SoA plus a single chunk, independent of how
 // the trace reached us.
@@ -47,7 +47,7 @@ class ReplayTrace {
                 std::uint64_t seed);
   void reserve(std::uint64_t records);
   void append(const trace::TraceRecord& r);
-  /// Validates and builds the dependency CSRs; append() is invalid after.
+  /// Validates and resolves the dependency CSR; append() is invalid after.
   void finalize();
   bool finalized() const { return finalized_; }
 
@@ -91,13 +91,8 @@ class ReplayTrace {
     return dep_parent_idx_[dep_offset_[i] + k];
   }
 
-  // -- reverse edges (who depends on record i) ----------------------------
-  const std::uint32_t* children_begin(std::uint32_t i) const {
-    return children_.data() + child_offset_[i];
-  }
-  const std::uint32_t* children_end(std::uint32_t i) const {
-    return children_.data() + child_offset_[i + 1];
-  }
+  /// Whether any record lists record i in its full dependency list.
+  bool has_dependents(std::uint32_t i) const { return has_dependents_[i] != 0; }
 
  private:
   std::string app_;
@@ -118,8 +113,7 @@ class ReplayTrace {
   std::vector<trace::TraceDep> deps_;
   std::vector<std::uint32_t> dep_parent_idx_;
 
-  std::vector<std::uint32_t> child_offset_;  // size()+1 after finalize
-  std::vector<std::uint32_t> children_;
+  std::vector<std::uint8_t> has_dependents_;  // size() after finalize
 
   /// FNV-1a/64 state (offset basis before any update), advanced by
   /// set_meta()/append() through the tracestore canonical-hash helpers.

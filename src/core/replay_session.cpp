@@ -19,20 +19,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 ReplaySession::ReplaySession(const ReplayTrace& rt,
                              const NetworkFactory& factory,
-                             const ReplayConfig& config,
-                             const KeptDepsCsr* kept)
+                             const ReplayConfig& config)
     : rt_(rt),
       config_(config),
       naive_(config.mode == ReplayMode::kNaive) {
   if (!rt_.finalized()) {
     throw std::logic_error("replay: ReplayTrace not finalized");
   }
-  if (kept != nullptr) {
-    kept_ = kept;
-  } else {
-    own_csr_ = build_kept_deps(rt_, config_);
-    kept_ = &own_csr_;
-  }
+  kept_ = build_kept_deps(rt_, config_);
   const std::uint32_t n = rt_.size();
   pending_.assign(n, 0);
   ready_.assign(n, 0);
@@ -48,9 +42,8 @@ ReplaySession::ReplaySession(const ReplayTrace& rt,
 }
 
 ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
-                             const ReplayConfig& config,
-                             const KeptDepsCsr* kept)
-    : ReplaySession(rt, make_factory(spec), config, kept) {
+                             const ReplayConfig& config)
+    : ReplaySession(rt, make_factory(spec), config) {
   bound_spec_ = spec;
   has_spec_ = true;
 }
@@ -163,29 +156,24 @@ void ReplaySession::on_deliver(const noc::Message& msg) {
   const auto idx = static_cast<std::uint32_t>(msg.tag);
   result_.arrive_time[idx] = msg.arrive_time;
   if (naive_) return;
-  if (rt_.children_begin(idx) == rt_.children_end(idx)) return;
+  if (!rt_.has_dependents(idx)) return;
   delivered_.push_back(idx);
   ensure_cycle_event(sim_.now());
 }
 
-// The eligibility scan over this cycle's deliveries, in delivery order.
-// Which delivery unlocks a child is timing-independent: a pending count only
-// reaches zero once every kept parent of the cycle has been applied.
+// The eligibility scan over this cycle's deliveries, in delivery order: each
+// delivery walks its own kept edges, children ascending. Which delivery
+// unlocks a child is timing-independent: a pending count only reaches zero
+// once every kept parent of the cycle has been applied.
 void ReplaySession::drain_deliveries() {
   for (const std::uint32_t idx : delivered_) {
-    const MsgId pid = rt_.id(idx);
     const Cycle arrive = result_.arrive_time[idx];
-    for (const std::uint32_t* cp = rt_.children_begin(idx);
-         cp != rt_.children_end(idx); ++cp) {
-      const std::uint32_t c = *cp;
-      // Is this parent one of c's enforced deps? (kept sets are tiny)
-      for (auto it = kept_->begin(c); it != kept_->end(c); ++it) {
-        if (it->parent != pid) continue;
-        ready_[c] = std::max(ready_[c], arrive + it->slack);
-        if (--pending_[c] == 0) {
-          mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
-        }
-        break;
+    for (std::uint32_t e = kept_.edges_begin(idx); e < kept_.edges_end(idx);
+         ++e) {
+      const std::uint32_t c = kept_.child[e];
+      ready_[c] = std::max(ready_[c], arrive + kept_.slack[e]);
+      if (--pending_[c] == 0) {
+        mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
       }
     }
   }
@@ -209,7 +197,7 @@ void ReplaySession::run_pass_prepared() {
   // Seed: fill the pending counts; everything without pending kept deps
   // starts at its bound, in ascending record order.
   for (std::uint32_t i = 0; i < n; ++i) {
-    pending_[i] = kept_->count(i);
+    pending_[i] = kept_.count(i);
     ready_[i] = 0;
     if (pending_[i] == 0) mark_eligible(i, bound_[i]);
   }
@@ -239,7 +227,7 @@ const ReplayResult& ReplaySession::run_pass(const std::vector<Cycle>* baseline) 
   } else {
     // First pass: anchor dependency-less schedules at the captured times.
     for (std::uint32_t i = 0; i < n; ++i) {
-      bound_[i] = kept_->count(i) == 0 ? rt_.inject_time(i) : 0;
+      bound_[i] = kept_.count(i) == 0 ? rt_.inject_time(i) : 0;
     }
   }
   run_pass_prepared();
@@ -259,7 +247,7 @@ const ReplayResult& ReplaySession::run() {
   const bool single_pass = naive_ || config_.dependency_window >= max_deps;
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    bound_[i] = kept_->count(i) == 0 ? rt_.inject_time(i) : 0;
+    bound_[i] = kept_.count(i) == 0 ? rt_.inject_time(i) : 0;
   }
   run_pass_prepared();
   log_.clear();

@@ -46,20 +46,19 @@ namespace sctm::core {
 
 class ReplaySession {
  public:
-  /// Binds the session to `rt` (borrowed; must outlive the session) and
-  /// builds the network once via `factory`. `kept` optionally borrows a
-  /// precomputed enforced-dependency CSR (must outlive the session and match
-  /// `config`); when null the session builds and owns its own.
+  /// Binds the session to `rt` (borrowed; must outlive the session), builds
+  /// its kept-edge index for `config` and builds the network once via
+  /// `factory`.
   /// config.threads != 1 makes the session own a WorkerPool and install it
   /// on the kernel; the ENoC router tick shards its cycles over it,
   /// bit-identically to serial.
   ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
-                const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
+                const ReplayConfig& config);
 
   /// Spec-aware binding: like the factory constructor but the session
   /// remembers the NetSpec it built, enabling the rebind(NetSpec) fast path.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
-                const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
+                const ReplayConfig& config);
 
   ~ReplaySession();
 
@@ -83,7 +82,7 @@ class ReplaySession {
 
   /// Rebuilds the network with a new factory (topology or parameters
   /// changed), erasing the old network's stat entries. The trace binding,
-  /// dependency CSR and every pass buffer are kept — this is what
+  /// kept-edge index and every pass buffer are kept — this is what
   /// exploration does between candidates whose NetSpec differs; candidates
   /// with equal specs skip it and pure-reset instead. Drops any NetSpec
   /// binding (a factory is opaque, so the fast path can't be keyed).
@@ -130,8 +129,7 @@ class ReplaySession {
   ReplayConfig config_;
   bool naive_;
 
-  KeptDepsCsr own_csr_;        // used only when kept was not borrowed
-  const KeptDepsCsr* kept_;
+  KeptDepsCsr kept_;  // enforced dependency edges, parent-major
 
   /// Owned worker pool (null when config.threads == 1). Declared before
   /// sim_ so it outlives the kernel holding the non-owning pointer.

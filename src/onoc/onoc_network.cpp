@@ -1,8 +1,10 @@
 #include "onoc/onoc_network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "onoc/power.hpp"
 
@@ -17,6 +19,12 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
       stat_ser_(accumulator("serialization")),
       stat_transmissions_(counter("transmissions")) {
   params_.validate();
+  if (params_.arbitration == Arbitration::kTokenRing ||
+      params_.arbitration == Arbitration::kSwmr) {
+    const auto channels = static_cast<std::size_t>(topo_.node_count());
+    arb_chan_.resize(channels);
+    arb_queued_.assign((channels + 63) / 64, 0);
+  }
   // The optical plane keys channels off node ids alone (single-hop
   // waveguides), so any tile layout with coordinates works: distance and
   // width only scale the time-of-flight.
@@ -25,10 +33,8 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
     for (int i = 0; i < topo_.node_count(); ++i) {
       tokens_.emplace_back(topo_.node_count(), params_.token_hop_latency);
     }
-    arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
   } else if (params_.arbitration == Arbitration::kSwmr) {
     src_channel_free_.assign(static_cast<std::size_t>(topo_.node_count()), 0);
-    arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
   } else if (params_.arbitration == Arbitration::kSharedPool) {
     if (params_.pool_channels < 1) {
       throw std::invalid_argument(this->name() + ": pool_channels must be >= 1");
@@ -67,6 +73,7 @@ void OnocNetwork::reset() {
   // Arbitration queues: the flush event (if any) died with the simulator's
   // queue reset; drop whatever it would have served, capacity retained.
   for (auto& reqs : arb_chan_) reqs.clear();
+  for (auto& word : arb_queued_) word = 0;
   arb_scheduled_ = false;
   if (ctrl_) ctrl_->reset();
   for (auto& r : receivers_) {
@@ -157,7 +164,9 @@ void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
 }
 
 void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
-  arb_chan_[static_cast<std::size_t>(channel)].push_back(msg);
+  const auto c = static_cast<std::size_t>(channel);
+  arb_chan_[c].push_back(msg);
+  arb_queued_[c / 64] |= std::uint64_t{1} << (c % 64);
   if (!arb_scheduled_) {
     arb_scheduled_ = true;
     auto flush = [this] { arb_flush(); };
@@ -169,38 +178,44 @@ void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
 // One flush per cycle with queued requests. All of the cycle's deliveries
 // (and hence any same-cycle re-injections from the replay engine's late
 // flush) either landed before this event or reschedule it — the late band
-// keeps draining until empty, so no request waits a cycle. Channels are
-// granted in ascending order, each channel's requests in arrival order:
+// keeps draining until empty, so no request waits a cycle. Queued channels
+// are granted in ascending order, each channel's requests in arrival order:
 // that walk fixes the stat order, the event order and, under faults, the
-// per-channel token-loss draws.
+// per-channel token-loss draws. Only the queued-channel mask's set bits are
+// visited, so a flush costs the channels in use, not the radix.
 void OnocNetwork::arb_flush() {
   arb_scheduled_ = false;
   const Cycle t = sim().now();  // every queued request shares this cycle
   fault::FaultModel* fm = fault_model();
-  for (std::size_t c = 0; c < arb_chan_.size(); ++c) {
-    std::vector<noc::Message>& reqs = arb_chan_[c];
-    for (const noc::Message& m : reqs) {
-      const Cycle hold =
-          params_.ser_cycles(m.size_bytes) + params_.guard_cycles;
-      Cycle start = t;
-      if (params_.arbitration == Arbitration::kTokenRing) {
-        TokenRing& ring = tokens_[c];
-        if (fm != nullptr && fm->draw_token_loss(static_cast<int>(c))) {
-          ring.lose_token(t, fm->spec().onoc_token_regen_cycles);
+  for (std::size_t w = 0; w < arb_queued_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(arb_queued_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const std::size_t c = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits));
+      std::vector<noc::Message>& reqs = arb_chan_[c];
+      for (const noc::Message& m : reqs) {
+        const Cycle hold =
+            params_.ser_cycles(m.size_bytes) + params_.guard_cycles;
+        Cycle start = t;
+        if (params_.arbitration == Arbitration::kTokenRing) {
+          TokenRing& ring = tokens_[c];
+          if (fm != nullptr && fm->draw_token_loss(static_cast<int>(c))) {
+            ring.lose_token(t, fm->spec().onoc_token_regen_cycles);
+          }
+          start = ring.acquire(m.src, t, hold);
+        } else {
+          Cycle& free_at = src_channel_free_[c];
+          start = std::max(free_at, t);
+          free_at = start + hold;
         }
-        start = ring.acquire(m.src, t, hold);
-      } else {
-        Cycle& free_at = src_channel_free_[c];
-        start = std::max(free_at, t);
-        free_at = start + hold;
+        stat_arb_wait_.add(static_cast<double>(start - t));
+        const noc::Message msg = m;
+        auto ev = [this, msg]() mutable { start_transmission(msg); };
+        static_assert(InlineFn::fits_inline<decltype(ev)>());
+        sim().schedule_at(start, std::move(ev));
       }
-      stat_arb_wait_.add(static_cast<double>(start - t));
-      const noc::Message msg = m;
-      auto ev = [this, msg]() mutable { start_transmission(msg); };
-      static_assert(InlineFn::fits_inline<decltype(ev)>());
-      sim().schedule_at(start, std::move(ev));
+      reqs.clear();
     }
-    reqs.clear();
   }
 }
 

@@ -19,10 +19,11 @@
 //
 // Per-cycle channel arbitration: token-ring and SWMR arbitration are
 // per-channel — one TokenRing per receive channel, one busy horizon per
-// source channel. inject() queues the request on its channel and schedules
-// one late-band flush per cycle, which walks the channels in ascending order
-// and grants each channel's requests in arrival order. The flush runs
-// serially; DESIGN.md §10 records why channel sharding was dropped.
+// source channel. inject() queues the request on its channel, marks the
+// channel in a queued-channel bitmask and schedules one late-band flush per
+// cycle, which walks only the marked channels, in ascending order, and
+// grants each channel's requests in arrival order. The flush runs serially;
+// DESIGN.md §10 records why channel sharding was dropped.
 #pragma once
 
 #include <deque>
@@ -113,6 +114,8 @@ class OnocNetwork : public noc::Network {
   /// SWMR: keyed by src), in arrival order — exactly the per-channel
   /// subsequence of the old immediate-acquire call order. Capacity retained.
   std::vector<std::vector<noc::Message>> arb_chan_;
+  /// Bit c set = arb_chan_[c] holds requests; the flush visits set bits only.
+  std::vector<std::uint64_t> arb_queued_;
   bool arb_scheduled_ = false;
 
   // Shared-pool mode: busy horizon per pooled channel.

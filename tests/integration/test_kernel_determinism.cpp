@@ -33,6 +33,11 @@ std::string case_name(const Case& c) {
   return s;
 }
 
+// Print a case by its name. gtest's default byte dump would include the
+// address of `app` and the struct padding, which change from run to run
+// under ASLR and so made the ctest test names nondeterministic.
+void PrintTo(const Case& c, std::ostream* os) { *os << case_name(c); }
+
 class KernelDeterminism : public ::testing::TestWithParam<Case> {};
 
 TEST_P(KernelDeterminism, ReExecutionAndFixedPointAreBitExact) {
