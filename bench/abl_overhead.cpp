@@ -25,8 +25,9 @@ int main() {
     const auto capture = core::run_execution(app, ideal_spec(2), {});
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
-    const auto naive = core::run_replay(capture.trace, enoc_spec(), naive_cfg);
-    const auto sctm = core::run_replay(capture.trace, enoc_spec(), {});
+    const core::ReplayTrace rt(capture.trace);
+    const auto naive = core::run_replay(rt, enoc_spec(), naive_cfg);
+    const auto sctm = core::run_replay(rt, enoc_spec(), {});
     // Reference: the full execution-driven run on the same target.
     const auto exec_target = core::run_execution(app, enoc_spec(), {});
 

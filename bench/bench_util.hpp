@@ -7,7 +7,6 @@
 // as an end-to-end check.
 #pragma once
 
-#include <ctime>
 #include <filesystem>
 #include <string>
 
@@ -70,16 +69,6 @@ inline core::NetSpec ideal_spec(Cycle per_hop,
   s.topo = topo;
   s.ideal.per_hop_latency = per_hop;
   return s;
-}
-
-/// ISO-8601 UTC timestamp for bench manifests.
-inline std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
 }
 
 /// Builds the standard bench metrics document: manifest identifying the

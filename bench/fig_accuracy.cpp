@@ -34,15 +34,13 @@ int main() {
 
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
-    const auto naive =
-        core::run_replay(capture.trace, onoc_token_spec(), naive_cfg);
-    const auto sctm = core::run_replay(capture.trace, onoc_token_spec(), {});
+    const core::ReplayTrace rt(capture.trace);
+    const auto naive = core::run_replay(rt, onoc_token_spec(), naive_cfg);
+    const auto sctm = core::run_replay(rt, onoc_token_spec(), {});
 
     rows[i].truth = core::summarize(truth_run.trace);
-    rows[i].naive = core::compare(
-        rows[i].truth, core::summarize(capture.trace, naive.result));
-    rows[i].sctm = core::compare(
-        rows[i].truth, core::summarize(capture.trace, sctm.result));
+    rows[i].naive = core::compare(rows[i].truth, core::summarize(naive.result));
+    rows[i].sctm = core::compare(rows[i].truth, core::summarize(sctm.result));
   });
 
   double naive_rt_sum = 0, sctm_rt_sum = 0;

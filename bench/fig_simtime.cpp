@@ -13,6 +13,7 @@
 // on the target" gate. `--smoke` runs only that row. Both modes write
 // bench_results/BENCH_simtime.json (with the host's hardware-thread count);
 // the full run also writes rf3_simtime.{csv,json}.
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -80,9 +81,12 @@ Row measure(std::string name, const fullsys::AppParams& app,
                     std::uint64_t* events) {
     double w[3], p[3];
     for (int i = 0; i < 3; ++i) {
-      const auto run =
-          core::run_replay(capture.trace, onoc_token_spec(topo), cfg);
-      w[i] = run.wall_seconds;
+      const auto t0 = std::chrono::steady_clock::now();
+      const core::ReplayTrace rt(capture.trace);  // ingestion is in the total
+      const auto run = core::run_replay(rt, onoc_token_spec(topo), cfg);
+      const std::chrono::duration<double> total =
+          std::chrono::steady_clock::now() - t0;
+      w[i] = total.count();
       p[i] = 0;
       for (const auto& it : run.result.iteration_log) p[i] += it.wall_seconds;
       *events = run.result.events;

@@ -17,7 +17,7 @@ int main() {
   app.lines_per_core = 16;
   app.iterations = 2;
 
-  const auto capture = core::run_execution(app, ideal_spec(2), {});
+  const core::ReplayTrace rt(core::run_execution(app, ideal_spec(2), {}).trace);
 
   Table t("R-F2: runtime error vs target network speed "
           "(capture at 2 cyc/hop, app=fft)");
@@ -30,15 +30,12 @@ int main() {
     const auto truth_run = core::run_execution(app, ideal_spec(per_hop), {});
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
-    const auto naive =
-        core::run_replay(capture.trace, ideal_spec(per_hop), naive_cfg);
-    const auto sctm = core::run_replay(capture.trace, ideal_spec(per_hop), {});
+    const auto naive = core::run_replay(rt, ideal_spec(per_hop), naive_cfg);
+    const auto sctm = core::run_replay(rt, ideal_spec(per_hop), {});
 
     const auto truth = core::summarize(truth_run.trace);
-    const auto en =
-        core::compare(truth, core::summarize(capture.trace, naive.result));
-    const auto es =
-        core::compare(truth, core::summarize(capture.trace, sctm.result));
+    const auto en = core::compare(truth, core::summarize(naive.result));
+    const auto es = core::compare(truth, core::summarize(sctm.result));
     t.add_row({Table::fmt(static_cast<std::uint64_t>(per_hop)),
                Table::fmt(static_cast<std::uint64_t>(truth.runtime)),
                Table::fmt(static_cast<std::uint64_t>(naive.result.runtime)),

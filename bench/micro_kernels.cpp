@@ -238,7 +238,7 @@ int run_event_kernel_comparison(int reps) {
   if (!ec) {
     RunMetrics m;
     m.manifest.tool = "bench/micro_kernels event_kernel";
-    m.manifest.created = bench::now_iso8601();
+    m.manifest.created = now_iso8601();
     m.manifest.set("kernel",
                    std::string("banded calendar wheel + InlineFn vs "
                                "std::priority_queue + std::function"));
@@ -443,7 +443,7 @@ int run_data_plane_comparison(int reps, int scale) {
   if (!ec) {
     RunMetrics m;
     m.manifest.tool = "bench/micro_kernels data_plane";
-    m.manifest.created = bench::now_iso8601();
+    m.manifest.created = now_iso8601();
     m.manifest.set("kernel",
                    std::string("quiescence-aware activity scoreboard vs "
                                "exhaustive per-cycle router ticking"));
@@ -590,8 +590,9 @@ void BM_EnocSaturatedCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_EnocSaturatedCycle)->Unit(benchmark::kMillisecond);
 
+// fft on 16 cores, captured on the ENoC and ingested once for replay.
 struct ReplayFixture {
-  trace::Trace trace;
+  core::ReplayTrace rt;
   ReplayFixture() {
     fullsys::AppParams app;
     app.name = "fft";
@@ -600,7 +601,7 @@ struct ReplayFixture {
     app.iterations = 2;
     core::NetSpec spec;
     spec.kind = core::NetKind::kEnoc;
-    trace = core::run_execution(app, spec, {}).trace;
+    rt = core::ReplayTrace(core::run_execution(app, spec, {}).trace);
   }
 };
 
@@ -609,11 +610,11 @@ void BM_SctmReplayPerMessage(benchmark::State& state) {
   core::NetSpec target;
   target.kind = core::NetKind::kOnocToken;
   for (auto _ : state) {
-    const auto rep = core::run_replay(fx.trace, target, {});
+    const auto rep = core::run_replay(fx.rt, target, {});
     benchmark::DoNotOptimize(rep.result.runtime);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.trace.records.size()));
+                          static_cast<std::int64_t>(fx.rt.size()));
 }
 BENCHMARK(BM_SctmReplayPerMessage)->Unit(benchmark::kMillisecond);
 
@@ -624,11 +625,11 @@ void BM_NaiveReplayPerMessage(benchmark::State& state) {
   core::ReplayConfig cfg;
   cfg.mode = core::ReplayMode::kNaive;
   for (auto _ : state) {
-    const auto rep = core::run_replay(fx.trace, target, cfg);
+    const auto rep = core::run_replay(fx.rt, target, cfg);
     benchmark::DoNotOptimize(rep.result.runtime);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.trace.records.size()));
+                          static_cast<std::int64_t>(fx.rt.size()));
 }
 BENCHMARK(BM_NaiveReplayPerMessage)->Unit(benchmark::kMillisecond);
 

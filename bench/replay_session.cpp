@@ -2,7 +2,7 @@
 //
 // Replays one captured trace per network kind two ways: "fresh" pays the
 // original engine's cost (build a Simulator + network + every pass buffer,
-// run one pass, tear it all down — what replay_once() does) while "session"
+// run one pass, tear it all down — a throwaway session) while "session"
 // runs the same pass on one long-lived ReplaySession recycled through
 // Simulator::reset() + Network::reset(). The per-pass wall-time ratio is the
 // price of construction the reset protocol eliminates; exploration and the
@@ -42,7 +42,7 @@ double best_seconds(int reps, const std::function<void()>& fn) {
 
 struct KindResult {
   std::string name;
-  double fresh_s = 0;       // one replay_once(): build + pass + teardown
+  double fresh_s = 0;       // one throwaway session: build + pass + teardown
   double session_s = 0;     // one warmed run_pass(): reset + pass
   double speedup = 0;       // fresh_s / session_s
   std::uint64_t events = 0; // kernel events per pass
@@ -55,11 +55,14 @@ KindResult measure(const std::string& name, const core::ReplayTrace& rt,
   KindResult out;
   out.name = name;
 
-  const core::ReplayResult fresh =
-      core::replay_once(rt, core::make_factory(spec), cfg);
-  out.fresh_s = best_seconds(reps, [&] {
-    core::replay_once(rt, core::make_factory(spec), cfg);
-  });
+  auto fresh_pass = [&] {
+    core::ReplaySession once(rt, core::make_factory(spec), cfg);
+    once.run_pass();
+    once.snapshot_stats();
+    return once.take_result();
+  };
+  const core::ReplayResult fresh = fresh_pass();
+  out.fresh_s = best_seconds(reps, [&] { fresh_pass(); });
 
   core::ReplaySession session(rt, core::make_factory(spec), cfg);
   session.run_pass();  // warmup: size every retained-capacity structure

@@ -10,6 +10,8 @@
 //                     [--mode sctm] [--window W] [--csv out.csv]
 //   sctm_cli inspect  --trace /tmp/t.trc2 [--text]
 //   sctm_cli exec     --app fft --net onoc-setup [...]   (execution-driven)
+//   sctm_cli run      --config configs/accuracy_fft_onoc.cfg
+//                     (config-file experiment: exec, replay or accuracy)
 //   sctm_cli validate --json metrics.json     (schema-check a metrics doc)
 //
 // Container tooling (the v2 trace store):
@@ -45,9 +47,8 @@
 //
 // Networks: ideal | enoc | onoc-token | onoc-setup | onoc-swmr | hybrid.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -62,6 +63,7 @@
 #include "common/run_metrics.hpp"
 #include "common/table.hpp"
 #include "analytic/screen.hpp"
+#include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
 #include "core/experiment.hpp"
@@ -69,7 +71,6 @@
 #include "fault/fault_spec.hpp"
 #include "noc/route_table.hpp"
 #include "noc/routing.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 #include "tracestore/catalog.hpp"
 #include "tracestore/trace_store.hpp"
@@ -96,6 +97,7 @@ using namespace sctm;
       "  sctm_cli inspect --trace <file> [--text]\n"
       "  sctm_cli exec    --app <name> --net <kind> [--cores N] [--lines N] "
       "[--iters N] [--mesh WxH] [--stats <file>] [--faults <cfg>]\n"
+      "  sctm_cli run     --config <experiment.cfg>\n"
       "  sctm_cli validate --json <file>\n"
       "  sctm_cli trace info    --trace <file> [--chunks]\n"
       "  sctm_cli trace convert --in <file> --out <file> [--format v1|v2] "
@@ -145,6 +147,28 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
   return out;
 }
 
+/// `v` as a non-negative integer of type T: digits only, the whole string,
+/// in T's range. Anything else (a sign, junk, overflow) is nullopt.
+template <typename T>
+std::optional<T> to_count(const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || v.front() == '-' || ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// The value `v` of flag --`key` as a non-negative integer, or a usage
+/// error naming the flag: a "-1" must not wrap to a huge lane count.
+template <typename T>
+T count_flag(const std::string& key, const std::string& v) {
+  if (const auto n = to_count<T>(v)) return *n;
+  usage(("--" + key + " expects a non-negative integer, got '" + v + "'")
+            .c_str());
+}
+
 core::NetKind net_kind(const std::string& s) {
   if (s == "ideal") return core::NetKind::kIdeal;
   if (s == "enoc") return core::NetKind::kEnoc;
@@ -153,13 +177,6 @@ core::NetKind net_kind(const std::string& s) {
   if (s == "onoc-swmr") return core::NetKind::kOnocSwmr;
   if (s == "hybrid") return core::NetKind::kHybrid;
   usage(("unknown network " + s).c_str());
-}
-
-noc::Topology parse_mesh(const std::string& s) {
-  const auto x = s.find('x');
-  if (x == std::string::npos) usage("--mesh expects WxH");
-  return noc::Topology::mesh(std::stoi(s.substr(0, x)),
-                             std::stoi(s.substr(x + 1)));
 }
 
 /// "AxB[xC]" -> dims; pads with 1 up to `want`, errors past it.
@@ -171,12 +188,12 @@ std::vector<int> parse_dims(const std::string& s, std::size_t want,
     const auto x = s.find('x', pos);
     const std::string tok =
         s.substr(pos, x == std::string::npos ? std::string::npos : x - pos);
-    try {
-      dims.push_back(std::stoi(tok));
-    } catch (const std::exception&) {
+    const auto d = to_count<int>(tok);
+    if (!d) {
       usage((std::string(what) + ": bad dimension '" + tok + "' in " + s)
                 .c_str());
     }
+    dims.push_back(*d);
     if (x == std::string::npos) break;
     pos = x + 1;
   }
@@ -185,6 +202,12 @@ std::vector<int> parse_dims(const std::string& s, std::size_t want,
   }
   dims.resize(want, 1);
   return dims;
+}
+
+noc::Topology parse_mesh(const std::string& s) {
+  if (s.find('x') == std::string::npos) usage("--mesh expects WxH");
+  const auto d = parse_dims(s, 2, "mesh");
+  return noc::Topology::mesh(d[0], d[1]);
 }
 
 /// Topology spec: mesh:WxH | torus:WxH | ring:N | mesh3d:XxYxZ |
@@ -269,7 +292,8 @@ noc::Topology fabric_for(const std::map<std::string, std::string>& f,
 /// with --mesh/--topo); without --cores the fabric flags, else mesh 4x4.
 noc::Topology exec_fabric(const std::map<std::string, std::string>& f) {
   if (const auto c = f.find("cores"); c != f.end()) {
-    return fabric_for(f, std::stoi(c->second), "--cores " + c->second);
+    return fabric_for(f, count_flag<int>("cores", c->second),
+                      "--cores " + c->second);
   }
   if (auto flag = fabric_flag(f)) return flag->first;
   return core::NetSpec{}.topo;
@@ -297,31 +321,18 @@ fullsys::AppParams app_from(const std::map<std::string, std::string>& f,
   if (a == f.end()) usage("--app required");
   app.name = a->second;
   app.cores = spec.topo.node_count();  // exec_fabric checked --cores
+  app.lines_per_core = 16;
+  app.iterations = 2;
   if (const auto it = f.find("lines"); it != f.end()) {
-    app.lines_per_core = std::stoi(it->second);
-  } else {
-    app.lines_per_core = 16;
+    app.lines_per_core = count_flag<int>("lines", it->second);
   }
   if (const auto it = f.find("iters"); it != f.end()) {
-    app.iterations = std::stoi(it->second);
-  } else {
-    app.iterations = 2;
+    app.iterations = count_flag<int>("iters", it->second);
   }
   if (const auto it = f.find("seed"); it != f.end()) {
-    app.seed = std::stoull(it->second);
+    app.seed = count_flag<std::uint64_t>("seed", it->second);
   }
   return app;
-}
-
-/// ISO-8601 UTC timestamp for run manifests (the metrics layer itself never
-/// reads the clock).
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
 }
 
 trace::TraceFormat format_from(const std::map<std::string, std::string>& f,
@@ -381,17 +392,17 @@ core::ReplayConfig replay_cfg_from(const std::map<std::string, std::string>& f) 
     else usage("--mode must be naive or sctm");
   }
   if (const auto w = f.find("window"); w != f.end()) {
-    cfg.dependency_window = static_cast<std::uint32_t>(std::stoul(w->second));
+    cfg.dependency_window = count_flag<std::uint32_t>("window", w->second);
   }
   if (const auto it = f.find("iters-max"); it != f.end()) {
-    cfg.max_iterations = std::stoi(it->second);
+    cfg.max_iterations = count_flag<int>("iters-max", it->second);
   }
   // ENoC router-tick lanes: 1 (the ReplayConfig default) = serial, 0 = one
   // lane per hardware thread via resolve_threads(). Results are
   // bit-identical for any value; `replay` also accepts the shorter
   // --threads, while `explore` reserves that name for candidate workers.
   if (const auto it = f.find("tick-threads"); it != f.end()) {
-    cfg.threads = static_cast<unsigned>(std::stoul(it->second));
+    cfg.threads = count_flag<unsigned>("tick-threads", it->second);
   }
   return cfg;
 }
@@ -406,7 +417,7 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
 
   core::ReplayConfig cfg = replay_cfg_from(f);
   if (const auto it = f.find("threads"); it != f.end()) {
-    cfg.threads = static_cast<unsigned>(std::stoul(it->second));
+    cfg.threads = count_flag<unsigned>("threads", it->second);
   }
 
   const auto rep = core::run_replay(loaded, spec, cfg);
@@ -487,16 +498,16 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
   core::ExploreConfig base;
   base.replay = replay_cfg_from(f);
   if (const auto it = f.find("threads"); it != f.end()) {
-    base.threads = static_cast<unsigned>(std::stoul(it->second));
+    base.threads = count_flag<unsigned>("threads", it->second);
   }
   core::ExploreConfig cfg = core::explore_config_from(cand_cfg, base);
   if (const auto it = f.find("screen-top"); it != f.end()) {
-    const long k = std::stol(it->second);
+    const auto k = count_flag<std::size_t>("screen-top", it->second);
     if (k < 1) {
       usage("--screen-top must be >= 1 (a screen that confirms no candidate "
             "is a config bug; omit the flag to replay everything)");
     }
-    cfg.screen_top_k = static_cast<std::size_t>(k);
+    cfg.screen_top_k = k;
   }
 
   const auto results = analytic::explore_screened(rt, candidates, cfg);
@@ -547,7 +558,8 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
   const auto tr = f.find("trace");
   if (tr == f.end()) usage("--trace required");
   const auto loaded = trace::read_binary_file(tr->second);
-  const trace::DependencyGraph graph(loaded);
+  const core::ReplayTrace rt(loaded);  // validates the dependency annotations
+  const auto prof = analytic::profile_trace(rt);
   const auto s = core::summarize(loaded);
   std::printf("app=%s capture-net='%s' nodes=%d seed=%llu\n",
               loaded.app.c_str(), loaded.capture_network.c_str(), loaded.nodes,
@@ -556,16 +568,16 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
               loaded.records.size(),
               static_cast<unsigned long long>(loaded.capture_runtime),
               s.mean_latency, static_cast<unsigned long long>(s.p99_latency));
-  std::printf("deps/record=%.2f roots=%zu critical-path=%zu records\n",
-              graph.mean_deps(), graph.roots().size(),
-              graph.critical_path_length());
+  std::printf("deps/record=%.2f roots=%llu critical-path=%u records\n",
+              prof.mean_fanin, static_cast<unsigned long long>(prof.roots),
+              prof.critical_depth);
   if (f.count("text")) std::fputs(trace::to_text(loaded).c_str(), stdout);
 
   if (f.count("stats-json")) {
     RunMetrics m;
     m.manifest.tool = "sctm_cli inspect";
     m.manifest.created = now_iso8601();
-    m.manifest.set("trace", core::trace_id(loaded));
+    m.manifest.set("trace", core::trace_id(rt));
     m.manifest.set("app", loaded.app);
     m.manifest.set("capture_net", loaded.capture_network);
     m.manifest.set("nodes", loaded.nodes);
@@ -580,11 +592,11 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
     results.key("capture_runtime_cycles");
     results.value(std::uint64_t{loaded.capture_runtime});
     results.key("mean_deps_per_record");
-    results.value(graph.mean_deps());
+    results.value(prof.mean_fanin);
     results.key("roots");
-    results.value(static_cast<std::uint64_t>(graph.roots().size()));
+    results.value(prof.roots);
     results.key("critical_path_records");
-    results.value(static_cast<std::uint64_t>(graph.critical_path_length()));
+    results.value(std::uint64_t{prof.critical_depth});
     results.end_object();
     m.set_results_json(std::move(results).str());
     maybe_emit_stats_json(f, m);
@@ -617,6 +629,34 @@ int cmd_exec(const std::map<std::string, std::string>& f) {
   maybe_emit_stats_json(f, core::metrics_for_execution(app, spec, exec,
                                                        "sctm_cli exec",
                                                        now_iso8601()));
+  return 0;
+}
+
+/// Config-file experiment (experiment.mode exec | replay | accuracy, see
+/// core/experiment.hpp): prints the result table and echoes the consumed
+/// keys for provenance; --stats-json puts both in a run-metrics document.
+int cmd_run(const std::map<std::string, std::string>& f) {
+  const auto& path = require_flag(f, "config");
+  const auto cfg = Config::from_file(path);
+  const auto table = core::run_experiment(cfg);
+  std::fputs(table.to_ascii().c_str(), stdout);
+  std::puts("-- consumed configuration --");
+  std::fputs(cfg.consumed_dump().c_str(), stdout);
+  if (f.count("stats-json")) {
+    RunMetrics m;
+    m.manifest.tool = "sctm_cli run";
+    m.manifest.created = now_iso8601();
+    m.manifest.set("config_file", path);
+    JsonWriter results;
+    results.begin_object();
+    results.key("table");
+    write_table_json(results, table);
+    results.key("consumed_config");
+    results.value(cfg.consumed_dump());
+    results.end_object();
+    m.set_results_json(std::move(results).str());
+    maybe_emit_stats_json(f, m);
+  }
   return 0;
 }
 
@@ -688,7 +728,7 @@ int cmd_trace_convert(const std::map<std::string, std::string>& f) {
   const auto t = trace::read_binary_file(in);
   if (format == trace::TraceFormat::kV2 && f.count("chunk")) {
     tracestore::write_v2_file(
-        t, out, static_cast<std::uint32_t>(std::stoul(f.at("chunk"))));
+        t, out, count_flag<std::uint32_t>("chunk", f.at("chunk")));
   } else {
     trace::write_file(t, out, format);
   }
@@ -897,6 +937,7 @@ int main(int argc, char** argv) {
     if (cmd == "explore") return cmd_explore(flags);
     if (cmd == "inspect") return cmd_inspect(flags);
     if (cmd == "exec") return cmd_exec(flags);
+    if (cmd == "run") return cmd_run(flags);
     if (cmd == "validate") return cmd_validate(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -1,12 +1,22 @@
 #include "common/run_metrics.hpp"
 
 #include <cstdio>
+#include <ctime>
 #include <stdexcept>
 
 #include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace sctm {
+
+std::string now_iso8601() {
+  const std::time_t t = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&t, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
+}
 
 void write_table_json(JsonWriter& w, const Table& t) {
   w.begin_object();

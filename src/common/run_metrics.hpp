@@ -1,6 +1,6 @@
 // Machine-readable run metrics: the one document schema every producer in
-// the repo emits (sctm_cli --stats-json, the example binaries, and the
-// bench_results/*.json files written by bench/).
+// the repo emits (sctm_cli --stats-json and the bench_results/*.json files
+// written by bench/).
 //
 // Document layout (schema "sctm.run_metrics.v1"):
 //   {
@@ -13,11 +13,12 @@
 //   }
 // `manifest.config` is an ordered echo of whatever identifies the run (app,
 // net spec, trace id, replay mode/window, seed). `created` is a timestamp
-// string passed in by the caller — this layer never reads the clock, so
-// documents stay reproducible under test. `phases` carries per-phase wall
-// time and kernel event counts; `stats` is a full StatRegistry snapshot plus
-// named latency histograms; `results` is a free-form object each tool builds
-// with the same JsonWriter.
+// string passed in by the caller (now_iso8601() for a live run) — the
+// document never reads the clock, so documents stay reproducible under
+// test. `phases` carries per-phase wall time and kernel event counts;
+// `stats` is a full StatRegistry snapshot plus named latency histograms;
+// `results` is a free-form object each tool builds with the same
+// JsonWriter.
 //
 // validate_metrics_json() is the schema checker the unit tests and the CI
 // gate (`sctm_cli validate`) share.
@@ -104,6 +105,10 @@ class RunMetrics {
   std::vector<NamedHistogram> histograms_;
   std::string results_json_;
 };
+
+/// Current UTC time as ISO-8601 ("2026-01-31T12:00:00Z"), the `created`
+/// stamp of live runs' manifests.
+std::string now_iso8601();
 
 /// Appends a Table as a JSON object value
 /// ({"title": ..., "header": [...], "rows": [[...], ...]}) — the shared

@@ -120,19 +120,6 @@ ExecutionRun run_execution(const fullsys::AppParams& app, const NetSpec& net,
   return out;
 }
 
-ReplayRun run_replay(const trace::Trace& trace, const NetSpec& net,
-                     const ReplayConfig& config) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ReplayRun out;
-  out.result = replay(trace, make_factory(net), config);
-  for (const auto& it : out.result.iteration_log) {
-    out.phases.push_back(
-        {"iter " + std::to_string(it.iter), it.wall_seconds, it.events});
-  }
-  out.wall_seconds = seconds_since(t0);
-  return out;
-}
-
 ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
                      const ReplayConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -153,12 +140,6 @@ ReplayTrace load_replay_trace(const std::string& path) {
     return ReplayTrace::from_store(reader);
   }
   return ReplayTrace(trace::read_binary_file(path));
-}
-
-std::string trace_id(const trace::Trace& trace) {
-  return trace.app + "@" + trace.capture_network +
-         "/seed=" + std::to_string(trace.seed) +
-         "/records=" + std::to_string(trace.records.size());
 }
 
 std::string trace_id(const ReplayTrace& rt) {
@@ -205,19 +186,16 @@ RunMetrics metrics_for_execution(const fullsys::AppParams& app,
   return m;
 }
 
-namespace {
-
-RunMetrics replay_metrics_impl(std::string trace_ident, std::int32_t nodes,
-                               const NetSpec& net, const ReplayConfig& config,
-                               const ReplayRun& run, std::string tool,
-                               std::string created) {
+RunMetrics metrics_for_replay(const ReplayTrace& rt, const NetSpec& net,
+                              const ReplayConfig& config, const ReplayRun& run,
+                              std::string tool, std::string created) {
   RunMetrics m;
   m.manifest.tool = std::move(tool);
   m.manifest.created = std::move(created);
   m.manifest.set("mode", std::string("replay-") + to_string(config.mode));
-  m.manifest.set("trace", std::move(trace_ident));
+  m.manifest.set("trace", trace_id(rt));
   m.manifest.set("net", net.describe());
-  m.manifest.set("nodes", nodes);
+  m.manifest.set("nodes", rt.nodes());
   if (config.mode != ReplayMode::kNaive) {
     m.manifest.set("dependency_window",
                    std::uint64_t{config.dependency_window});
@@ -227,6 +205,7 @@ RunMetrics replay_metrics_impl(std::string trace_ident, std::int32_t nodes,
   // though results are thread-count invariant by construction.
   m.manifest.set("tick_threads", std::uint64_t{resolve_threads(config.threads)});
   for (const auto& [k, v] : net.fault.manifest_entries()) m.manifest.set(k, v);
+  m.manifest.set("trace_content_hash", tracestore::hash_hex(rt.content_hash()));
   m.add_phases(run.phases);
   m.set_stats(run.result.stats);
   m.add_histogram("latency", run.result.latency_histogram());
@@ -262,27 +241,6 @@ RunMetrics replay_metrics_impl(std::string trace_ident, std::int32_t nodes,
   results.end_array();
   results.end_object();
   m.set_results_json(std::move(results).str());
-  return m;
-}
-
-}  // namespace
-
-RunMetrics metrics_for_replay(const trace::Trace& trace, const NetSpec& net,
-                              const ReplayConfig& config, const ReplayRun& run,
-                              std::string tool, std::string created) {
-  RunMetrics m = replay_metrics_impl(trace_id(trace), trace.nodes, net, config,
-                                     run, std::move(tool), std::move(created));
-  m.manifest.set("trace_content_hash",
-                 tracestore::hash_hex(tracestore::content_hash(trace)));
-  return m;
-}
-
-RunMetrics metrics_for_replay(const ReplayTrace& rt, const NetSpec& net,
-                              const ReplayConfig& config, const ReplayRun& run,
-                              std::string tool, std::string created) {
-  RunMetrics m = replay_metrics_impl(trace_id(rt), rt.nodes(), net, config,
-                                     run, std::move(tool), std::move(created));
-  m.manifest.set("trace_content_hash", tracestore::hash_hex(rt.content_hash()));
   return m;
 }
 

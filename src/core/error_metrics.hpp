@@ -27,7 +27,7 @@ struct RunSummary {
 RunSummary summarize(const trace::Trace& trace);
 
 /// Summary of a replay run.
-RunSummary summarize(const trace::Trace& trace, const ReplayResult& replayed);
+RunSummary summarize(const ReplayResult& replayed);
 
 struct ErrorReport {
   // Each component is |model - truth| / truth, except when truth == 0:

@@ -87,20 +87,11 @@ KeptDepsCsr build_kept_deps(const ReplayTrace& rt,
   return csr;
 }
 
-// Both engines are thin wrappers over a throwaway ReplaySession — the
-// session owns the simulator, the network and every pass buffer, and is the
-// single implementation of the pass loop (see core/replay_session.hpp).
-// Long-lived callers (iterative sweeps, exploration) construct a session
-// directly and reuse it across passes and candidates.
-
-ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
-                         const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline) {
-  ReplaySession session(rt, factory, config);
-  session.run_pass(baseline);
-  session.snapshot_stats();
-  return session.take_result();
-}
+// replay() is a thin wrapper over a throwaway ReplaySession — the session
+// owns the simulator, the network and every pass buffer, and is the single
+// implementation of the pass loop (see core/replay_session.hpp). Long-lived
+// callers (iterative sweeps, exploration, single-pass benches) construct a
+// session directly and reuse it across passes and candidates.
 
 ReplayResult replay(const ReplayTrace& rt, const NetworkFactory& factory,
                     const ReplayConfig& config) {
@@ -115,11 +106,6 @@ ReplayResult replay(const ReplayTrace& rt, const NetworkFactory& factory,
   ReplaySession session(rt, factory, config);
   session.run();
   return session.take_result();
-}
-
-ReplayResult replay(const trace::Trace& trace, const NetworkFactory& factory,
-                    const ReplayConfig& config) {
-  return replay(ReplayTrace(trace), factory, config);
 }
 
 }  // namespace sctm::core

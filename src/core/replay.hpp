@@ -197,23 +197,9 @@ class EligibilityBatcher {
   std::vector<std::uint32_t> free_;
 };
 
-/// Single-pass replay (naive, or self-correcting with an optional window;
-/// `baseline` overrides the per-record lower bounds — pass captured inject
-/// times for the first iteration). `rt` must be finalized.
-ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
-                         const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline = nullptr);
-
 /// Full engine: naive mode and full-window self-correcting mode run one
 /// pass; truncated windows iterate to a fixed point per the config.
 ReplayResult replay(const ReplayTrace& rt, const NetworkFactory& factory,
-                    const ReplayConfig& config);
-
-/// Convenience wrapper: builds the ReplayTrace (validating the dependency
-/// annotations) and runs the full engine. Prefer the ReplayTrace overload
-/// when replaying the same trace more than once or streaming from a v2
-/// container.
-ReplayResult replay(const trace::Trace& trace, const NetworkFactory& factory,
                     const ReplayConfig& config);
 
 }  // namespace sctm::core

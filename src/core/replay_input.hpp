@@ -11,9 +11,10 @@
 // recycled: peak memory is the SoA plus a single chunk, independent of how
 // the trace reached us.
 //
-// finalize() enforces the same invariants DependencyGraph does (and with
-// the same exception types): parents must exist, precede their dependents
-// in id order, and carry slacks consistent with the capture times.
+// finalize() is the one validator of a trace's dependency annotations: ids
+// must be unique, and parents must exist, precede their dependents in id
+// order, and carry slacks consistent with the capture times (violations
+// throw std::invalid_argument).
 #pragma once
 
 #include <cstdint>

@@ -20,9 +20,9 @@
 // and passes 2..N run without a single heap allocation (asserted by the
 // alloc-counting test).
 //
-// replay_once()/replay() in replay.hpp are now thin wrappers over a
-// throwaway session; exploration keeps one long-lived session per worker
-// thread and rebind()s it only when the candidate's NetSpec differs.
+// replay() in replay.hpp is a thin wrapper over a throwaway session;
+// exploration keeps one long-lived session per worker thread and rebind()s
+// it only when the candidate's NetSpec differs.
 //
 // Parallelism (config.threads != 1): the session owns a WorkerPool and
 // installs it on the kernel, where the ENoC router tick — the one intra-pass
@@ -73,11 +73,10 @@ class ReplaySession {
   const ReplayResult& run();
 
   /// One replay pass: reset, seed from `baseline` lower bounds (captured
-  /// anchors when null), drain. Exactly replay_once()'s semantics except
-  /// that the stat snapshot is deferred to snapshot_stats() — after a
-  /// warmup pass this makes repeated calls allocation-free, which the
-  /// steady-state alloc test asserts. The result reference stays valid
-  /// until the next pass.
+  /// anchors when null), drain. The stat snapshot is deferred to
+  /// snapshot_stats() — after a warmup pass this makes repeated calls
+  /// allocation-free, which the steady-state alloc test asserts. The result
+  /// reference stays valid until the next pass.
   const ReplayResult& run_pass(const std::vector<Cycle>* baseline = nullptr);
 
   /// Rebuilds the network with a new factory (topology or parameters

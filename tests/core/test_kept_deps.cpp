@@ -15,6 +15,7 @@
 
 #include "core/driver.hpp"
 #include "core/replay.hpp"
+#include "core/replay_session.hpp"
 
 namespace sctm::core {
 namespace {
@@ -226,7 +227,8 @@ TEST(KeptDeps, FanInAndFanOutInjectAtMaxOfKeptParents) {
     cfg.dependency_window = window;
     // One pass: records with kept deps have no lower bound, so each is
     // injected exactly when its last kept parent's slack runs out.
-    const ReplayResult r = replay_once(rt, make_factory(spec), cfg);
+    ReplaySession session(rt, make_factory(spec), cfg);
+    const ReplayResult& r = session.run_pass();
     const auto kept = reference_kept(rt, window);
     std::size_t checked = 0;
     for (std::uint32_t i = 0; i < rt.size(); ++i) {

@@ -4,7 +4,6 @@
 
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
-#include "trace/dependency_graph.hpp"
 
 namespace sctm::core {
 namespace {
@@ -46,7 +45,7 @@ NetSpec ideal_spec(Cycle per_hop = 1) {
 // resolves at exactly its captured time.
 TEST(Replay, FixedPointOnCaptureNetworkIdeal) {
   const auto exec = run_execution(small_app("fft"), ideal_spec(), small_sys());
-  const auto rep = run_replay(exec.trace, ideal_spec(), {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), {});
   ASSERT_EQ(rep.result.inject_time.size(), exec.trace.records.size());
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time)
@@ -67,7 +66,7 @@ class FixedPointAllApps : public ::testing::TestWithParam<const char*> {};
 TEST_P(FixedPointAllApps, EnocReplayBitExact) {
   const auto exec =
       run_execution(small_app(GetParam()), enoc_spec(), small_sys());
-  const auto rep = run_replay(exec.trace, enoc_spec(), {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), enoc_spec(), {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||
@@ -87,7 +86,7 @@ TEST(Replay, FixedPointOnOnocTokenNetwork) {
   NetSpec onoc;
   onoc.kind = NetKind::kOnocToken;
   const auto exec = run_execution(small_app("fft"), onoc, small_sys());
-  const auto rep = run_replay(exec.trace, onoc, {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), onoc, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||
@@ -104,7 +103,7 @@ TEST(Replay, NaiveAlsoExactOnCaptureNetworkIdeal) {
   const auto exec = run_execution(small_app("fft"), ideal_spec(), small_sys());
   ReplayConfig cfg;
   cfg.mode = ReplayMode::kNaive;
-  const auto rep = run_replay(exec.trace, ideal_spec(), cfg);
+  const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), cfg);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time);
   }
@@ -118,8 +117,9 @@ TEST(Replay, SelfCorrectingTracksSlowerTarget) {
 
   ReplayConfig naive;
   naive.mode = ReplayMode::kNaive;
-  const auto rep_naive = run_replay(exec.trace, ideal_spec(20), naive);
-  const auto rep_sctm = run_replay(exec.trace, ideal_spec(20), {});
+  const ReplayTrace rt(exec.trace);
+  const auto rep_naive = run_replay(rt, ideal_spec(20), naive);
+  const auto rep_sctm = run_replay(rt, ideal_spec(20), {});
 
   EXPECT_GT(rep_sctm.result.runtime, exec.trace.capture_runtime * 2);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
@@ -134,7 +134,7 @@ TEST(Replay, SelfCorrectingTracksFasterTarget) {
   // Capture slow, replay fast: SCTM must compress the schedule.
   const auto exec =
       run_execution(small_app("jacobi"), ideal_spec(20), small_sys());
-  const auto rep = run_replay(exec.trace, ideal_spec(1), {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(1), {});
   EXPECT_LT(rep.result.runtime, exec.trace.capture_runtime);
 }
 
@@ -149,27 +149,27 @@ TEST(Replay, SctmBeatsNaiveAgainstGroundTruth) {
 
   ReplayConfig naive;
   naive.mode = ReplayMode::kNaive;
-  const auto rep_naive = run_replay(exec_capture.trace, ideal_spec(20), naive);
-  const auto rep_sctm = run_replay(exec_capture.trace, ideal_spec(20), {});
+  const ReplayTrace rt(exec_capture.trace);
+  const auto rep_naive = run_replay(rt, ideal_spec(20), naive);
+  const auto rep_sctm = run_replay(rt, ideal_spec(20), {});
 
   const auto truth = summarize(exec_truth.trace);
-  const auto e_naive =
-      compare(truth, summarize(exec_capture.trace, rep_naive.result));
-  const auto e_sctm =
-      compare(truth, summarize(exec_capture.trace, rep_sctm.result));
+  const auto e_naive = compare(truth, summarize(rep_naive.result));
+  const auto e_sctm = compare(truth, summarize(rep_sctm.result));
   EXPECT_LT(e_sctm.runtime_err, e_naive.runtime_err * 0.5);
   EXPECT_LT(e_sctm.runtime_err, 0.15);
 }
 
 TEST(Replay, DependencyRespectedInReplaySchedule) {
   const auto exec = run_execution(small_app("sort"), enoc_spec(), small_sys());
-  const auto rep = run_replay(exec.trace, ideal_spec(5), {});
-  const trace::DependencyGraph g(exec.trace);
-  for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    for (const auto& d : exec.trace.records[i].deps) {
-      const auto p = g.index_of(d.parent);
+  const ReplayTrace rt(exec.trace);
+  const auto rep = run_replay(rt, ideal_spec(5), {});
+  for (std::uint32_t i = 0; i < rt.size(); ++i) {
+    const auto& deps = exec.trace.records[i].deps;
+    for (std::uint32_t k = 0; k < deps.size(); ++k) {
+      const auto p = rt.dep_parent_index(i, k);
       EXPECT_GE(rep.result.inject_time[i],
-                rep.result.arrive_time[p] + d.slack)
+                rep.result.arrive_time[p] + deps[k].slack)
           << "dependency violated at record " << i;
     }
   }
@@ -180,7 +180,7 @@ TEST(Replay, WindowZeroFirstPassIsNaive) {
   ReplayConfig cfg;
   cfg.dependency_window = 0;
   cfg.max_iterations = 1;
-  const auto rep = run_replay(exec.trace, ideal_spec(), cfg);
+  const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), cfg);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time);
   }
@@ -192,11 +192,12 @@ TEST(Replay, TruncatedWindowConvergesWithIterations) {
   cfg.dependency_window = 1;
   cfg.max_iterations = 12;
   cfg.convergence_threshold = 0.5;
-  const auto rep = run_replay(exec.trace, ideal_spec(20), cfg);
+  const ReplayTrace rt(exec.trace);
+  const auto rep = run_replay(rt, ideal_spec(20), cfg);
   EXPECT_GT(rep.result.iterations, 1);
   EXPECT_LE(rep.result.iterations, 12);
   // Converged result must closely match the full-window single-pass result.
-  const auto full = run_replay(exec.trace, ideal_spec(20), {});
+  const auto full = run_replay(rt, ideal_spec(20), {});
   const double rt_gap =
       std::abs(static_cast<double>(rep.result.runtime) -
                static_cast<double>(full.result.runtime)) /
@@ -206,8 +207,9 @@ TEST(Replay, TruncatedWindowConvergesWithIterations) {
 
 TEST(Replay, ReplayIsDeterministic) {
   const auto exec = run_execution(small_app("lu"), enoc_spec(), small_sys());
-  const auto a = run_replay(exec.trace, enoc_spec(), {});
-  const auto b = run_replay(exec.trace, enoc_spec(), {});
+  const ReplayTrace rt(exec.trace);
+  const auto a = run_replay(rt, enoc_spec(), {});
+  const auto b = run_replay(rt, enoc_spec(), {});
   EXPECT_EQ(a.result.inject_time, b.result.inject_time);
   EXPECT_EQ(a.result.arrive_time, b.result.arrive_time);
 }
@@ -215,7 +217,7 @@ TEST(Replay, ReplayIsDeterministic) {
 TEST(Replay, EmptyTraceYieldsEmptyResult) {
   trace::Trace t;
   t.nodes = 4;
-  const auto res = replay(t, make_factory(ideal_spec()), {});
+  const auto res = replay(ReplayTrace(t), make_factory(ideal_spec()), {});
   EXPECT_TRUE(res.inject_time.empty());
   EXPECT_EQ(res.runtime, 0u);
 }
@@ -224,7 +226,8 @@ TEST(Replay, MismatchedNetworkSizeThrows) {
   const auto exec = run_execution(small_app("fft"), ideal_spec(), small_sys());
   NetSpec wrong = ideal_spec();
   wrong.topo = noc::Topology::mesh(2, 2);
-  EXPECT_THROW(run_replay(exec.trace, wrong, {}), std::invalid_argument);
+  const ReplayTrace rt(exec.trace);
+  EXPECT_THROW(run_replay(rt, wrong, {}), std::invalid_argument);
 }
 
 TEST(ErrorMetrics, IdenticalRunsZeroError) {

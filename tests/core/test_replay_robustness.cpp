@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 
 namespace sctm::core {
 namespace {
@@ -37,7 +36,7 @@ TEST(ReplayRobustness, DanglingParentRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::invalid_argument);
 }
 
 TEST(ReplayRobustness, CorruptedSlackRejected) {
@@ -48,7 +47,7 @@ TEST(ReplayRobustness, CorruptedSlackRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::invalid_argument);
 }
 
 TEST(ReplayRobustness, ForwardDependencyRejected) {
@@ -58,14 +57,14 @@ TEST(ReplayRobustness, ForwardDependencyRejected) {
   auto& victim = t.records[2];
   victim.deps.clear();
   victim.deps.push_back({t.records.back().id, 0});
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::invalid_argument);
 }
 
 TEST(ReplayRobustness, DuplicateIdRejected) {
   auto t = good_trace();
   ASSERT_GT(t.records.size(), 2u);
   t.records[1].id = t.records[0].id;
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::invalid_argument);
 }
 
 TEST(ReplayRobustness, CorruptedTimestampRejected) {
@@ -76,13 +75,13 @@ TEST(ReplayRobustness, CorruptedTimestampRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::invalid_argument);
 }
 
 TEST(ReplayRobustness, InvalidEndpointRejectedByNetwork) {
   auto t = good_trace();
   t.records[0].dst = 99;  // off the 16-node fabric
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::logic_error);
+  EXPECT_THROW(run_replay(ReplayTrace(t), ideal(), {}), std::logic_error);
 }
 
 class WindowSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -92,16 +91,18 @@ TEST_P(WindowSweep, DependenciesRespectedAtEveryWindow) {
   ReplayConfig cfg;
   cfg.dependency_window = GetParam();
   cfg.max_iterations = 8;
-  const auto rep = run_replay(t, ideal(8), cfg);
-  const trace::DependencyGraph g(t);
+  const ReplayTrace rt(t);
+  const auto rep = run_replay(rt, ideal(8), cfg);
   // With any window and iteration budget, the *kept* (enforced) deps must
   // hold exactly; with the full window, all of them.
   std::size_t violations = 0;
   if (GetParam() >= 16) {
-    for (std::size_t i = 0; i < t.records.size(); ++i) {
-      for (const auto& d : t.records[i].deps) {
-        const auto p = g.index_of(d.parent);
-        if (rep.result.inject_time[i] < rep.result.arrive_time[p] + d.slack) {
+    for (std::uint32_t i = 0; i < rt.size(); ++i) {
+      const auto& deps = t.records[i].deps;
+      for (std::uint32_t k = 0; k < deps.size(); ++k) {
+        const auto p = rt.dep_parent_index(i, k);
+        if (rep.result.inject_time[i] <
+            rep.result.arrive_time[p] + deps[k].slack) {
           ++violations;
         }
       }

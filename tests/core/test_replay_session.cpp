@@ -101,7 +101,13 @@ TEST_P(SessionKindMode, RunPassReuseMatchesReplayOnce) {
   const NetSpec spec = spec_of(kind);
   const ReplayConfig cfg = config_for(mode);
 
-  const ReplayResult fresh = replay_once(rt, make_factory(spec), cfg);
+  ReplayResult fresh;
+  {
+    ReplaySession once(rt, make_factory(spec), cfg);
+    once.run_pass();
+    once.snapshot_stats();
+    fresh = once.take_result();
+  }
   ReplaySession session(rt, make_factory(spec), cfg);
   for (int round = 1; round <= 3; ++round) {
     const ReplayResult& reused = session.run_pass();
@@ -208,7 +214,7 @@ TEST(ReplaySession, RandomizedWalkMatchesFresh) {
 }
 
 // take_result() moves the schedule out and the next run must rebuild it
-// from scratch — the wrapper API (replay/replay_once) depends on this.
+// from scratch — the wrapper API (replay) depends on this.
 TEST(ReplaySession, TakeResultLeavesSessionReusable) {
   const ReplayTrace& rt = shared_rt();
   const ReplayConfig cfg;

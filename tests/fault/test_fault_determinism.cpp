@@ -196,11 +196,11 @@ TEST(FaultedReplay, ZeroRateSpecIsByteIdenticalToBaseline) {
 TEST(FaultedReplay, MetricsCarryFaultRegimeAndCounters) {
   const NetSpec spec = faulted_spec(NetKind::kEnoc);
   const ReplayConfig cfg;
-  const trace::Trace trace =
-      run_execution(small_app("jacobi"), NetSpec{}, small_sys()).trace;
-  const ReplayRun run = run_replay(trace, spec, cfg);
+  const ReplayTrace rt(
+      run_execution(small_app("jacobi"), NetSpec{}, small_sys()).trace);
+  const ReplayRun run = run_replay(rt, spec, cfg);
   const RunMetrics m =
-      metrics_for_replay(trace, spec, cfg, run, "test", "2026-08-09");
+      metrics_for_replay(rt, spec, cfg, run, "test", "2026-08-09");
   const std::string json = m.to_json();
   std::string err;
   EXPECT_TRUE(validate_metrics_json(json, &err)) << err;
@@ -210,8 +210,8 @@ TEST(FaultedReplay, MetricsCarryFaultRegimeAndCounters) {
 
   NetSpec clean;
   clean.kind = NetKind::kEnoc;
-  const RunMetrics m0 = metrics_for_replay(trace, clean, cfg,
-                                           run_replay(trace, clean, cfg),
+  const RunMetrics m0 = metrics_for_replay(rt, clean, cfg,
+                                           run_replay(rt, clean, cfg),
                                            "test", "2026-08-09");
   EXPECT_EQ(m0.to_json().find("fault."), std::string::npos);
 }
@@ -230,7 +230,8 @@ TEST(FaultedReplay, ExecutionCaptureUnderFaultsProducesReplayableTrace) {
 
   NetSpec clean;
   clean.kind = NetKind::kEnoc;
-  const ReplayRun rr = run_replay(run.trace, clean, ReplayConfig{});
+  const ReplayRun rr =
+      run_replay(ReplayTrace(run.trace), clean, ReplayConfig{});
   EXPECT_GT(rr.result.runtime, 0u);
 }
 

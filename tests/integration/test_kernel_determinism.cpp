@@ -64,7 +64,7 @@ TEST_P(KernelDeterminism, ReExecutionAndFixedPointAreBitExact) {
   // Rule-level guard 2: SCTM replay on the capture network reproduces the
   // captured schedule exactly (late-band injection flushes in capture order,
   // router pickup on the cycle after injection).
-  const auto rep = core::run_replay(first.trace, spec, {});
+  const auto rep = core::run_replay(core::ReplayTrace(first.trace), spec, {});
   ASSERT_EQ(rep.result.inject_time.size(), first.trace.records.size());
   for (std::size_t i = 0; i < first.trace.records.size(); ++i) {
     ASSERT_EQ(rep.result.inject_time[i], first.trace.records[i].inject_time)

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 
 namespace sctm {
@@ -61,14 +60,15 @@ TEST_P(PipelineMatrix, CaptureSerializeReplay) {
   ASSERT_EQ(loaded, exec.trace);
 
   // Replay on the target; every dependency must hold in the new schedule.
-  const auto rep = core::run_replay(loaded, tgt_spec, {});
-  const trace::DependencyGraph graph(loaded);
-  for (std::size_t i = 0; i < loaded.records.size(); ++i) {
+  const core::ReplayTrace rt(loaded);
+  const auto rep = core::run_replay(rt, tgt_spec, {});
+  for (std::uint32_t i = 0; i < rt.size(); ++i) {
     EXPECT_NE(rep.result.arrive_time[i], kNoCycle);
-    for (const auto& d : loaded.records[i].deps) {
-      const auto p = graph.index_of(d.parent);
+    const auto& deps = loaded.records[i].deps;
+    for (std::uint32_t k = 0; k < deps.size(); ++k) {
+      const auto p = rt.dep_parent_index(i, k);
       EXPECT_GE(rep.result.inject_time[i],
-                rep.result.arrive_time[p] + d.slack);
+                rep.result.arrive_time[p] + deps[k].slack);
     }
   }
 

@@ -125,7 +125,7 @@ TEST(Hybrid, FullSystemRunsAndCapturesFixedPoint) {
   spec.kind = NetKind::kHybrid;
   const auto exec = run_execution(app, spec, {});
   EXPECT_GT(exec.trace.records.size(), 100u);
-  const auto rep = run_replay(exec.trace, spec, {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), spec, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||

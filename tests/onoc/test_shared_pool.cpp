@@ -125,7 +125,7 @@ TEST(SharedPool, FixedPointBitExact) {
   const Cycle rt = cmp.run_to_completion();
   const auto tr = std::move(capture).finalize(rt);
 
-  const auto rep = replay(tr, factory, {});
+  const auto rep = replay(ReplayTrace(tr), factory, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < tr.records.size(); ++i) {
     if (rep.inject_time[i] != tr.records[i].inject_time ||

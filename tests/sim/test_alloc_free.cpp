@@ -181,7 +181,7 @@ TEST(AllocFreeKernel, ReplayEligibilityBatcherSteadyStateIsAllocationFree) {
   // workload's footprint (batch sizes, concurrent in-flight cycles), the
   // add/flush churn of a steady-state replay slice performs zero heap
   // allocations. This is the structure that replaced the per-pass
-  // unordered_map<Cycle, vector> in replay_once().
+  // unordered_map<Cycle, vector> of the replay pass loop.
   core::EligibilityBatcher batcher;
   std::uint64_t dispatched = 0;
   auto sink = [&dispatched](std::uint32_t) { ++dispatched; };

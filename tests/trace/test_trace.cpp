@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 
 namespace sctm::trace {
@@ -40,13 +40,14 @@ TEST(TraceCaptureTest, ProducesConsistentTrace) {
 
 TEST(TraceCaptureTest, DependenciesValidateAsDag) {
   const Trace t = capture_small();
-  const DependencyGraph g(t);  // throws on any inconsistency
-  EXPECT_EQ(g.size(), t.records.size());
-  EXPECT_GT(g.mean_deps(), 0.5);
-  EXPECT_GT(g.critical_path_length(), 4u);
-  EXPECT_GE(g.roots().size(), 1u);
+  const core::ReplayTrace rt(t);  // throws on any inconsistency
+  const auto p = analytic::profile_trace(rt);
+  EXPECT_EQ(rt.size(), t.records.size());
+  EXPECT_GT(p.mean_fanin, 0.5);
+  EXPECT_GT(p.critical_depth, 4u);
+  EXPECT_GE(p.roots, 1u);
   // Most records are causally chained (this is the property SCTM exploits).
-  EXPECT_LT(g.roots().size(), t.records.size() / 4);
+  EXPECT_LT(p.roots, t.records.size() / 4);
 }
 
 TEST(TraceIo, BinaryRoundTripIsExact) {
@@ -266,87 +267,6 @@ TEST(TraceIo, TextDumpPrintsNoCycleSymbolically) {
   const auto text = to_text(t);
   EXPECT_NE(text.find("t=10..none"), std::string::npos) << text;
   EXPECT_EQ(text.find(std::to_string(kNoCycle)), std::string::npos) << text;
-}
-
-TEST(DependencyGraphTest, RejectsUnknownParent) {
-  Trace t;
-  t.nodes = 2;
-  TraceRecord r;
-  r.id = 1;
-  r.src = 0;
-  r.dst = 1;
-  r.inject_time = 0;
-  r.arrive_time = 5;
-  r.deps.push_back({999, 0});
-  t.records.push_back(r);
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
-}
-
-TEST(DependencyGraphTest, RejectsForwardDependency) {
-  Trace t;
-  t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  a.deps.push_back({2, 0});  // depends on a later message
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 5;
-  b.arrive_time = 9;
-  t.records = {a, b};
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
-}
-
-TEST(DependencyGraphTest, RejectsInconsistentSlack) {
-  Trace t;
-  t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 9;
-  b.arrive_time = 15;
-  b.deps.push_back({1, 3});  // 5 + 3 != 9
-  t.records = {a, b};
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
-}
-
-TEST(DependencyGraphTest, ChildrenAndRoots) {
-  Trace t;
-  t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 7;
-  b.arrive_time = 15;
-  b.deps.push_back({1, 2});
-  t.records = {a, b};
-  const DependencyGraph g(t);
-  EXPECT_EQ(g.roots().size(), 1u);
-  EXPECT_EQ(g.roots()[0], 0u);
-  ASSERT_EQ(g.children_of(0).size(), 1u);
-  EXPECT_EQ(g.children_of(0)[0], 1u);
-  EXPECT_EQ(g.critical_path_length(), 2u);
-  EXPECT_EQ(g.index_of(2), 1u);
-  EXPECT_THROW(g.index_of(42), std::out_of_range);
 }
 
 }  // namespace

@@ -388,7 +388,7 @@ TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
 
   core::NetSpec target;
   target.kind = core::NetKind::kOnocToken;
-  const auto mem = core::run_replay(t, target, {});
+  const auto mem = core::run_replay(core::ReplayTrace(t), target, {});
   const auto streamed =
       core::run_replay(core::load_replay_trace(path), target, {});
   EXPECT_EQ(streamed.result.inject_time, mem.result.inject_time);
