@@ -3,10 +3,9 @@
 //   sctm_cli capture  --app fft --net enoc --out /tmp/t.trc2 [--cores 16]
 //                     [--lines 16] [--iters 2] [--mesh 4x4] [--format v1|v2]
 //   sctm_cli replay   --trace /tmp/t.trc2 --net onoc-token [--mode sctm]
-//                     [--window W] [--iters-max 8] [--threads N]
-//                     [--csv out.csv]
+//                     [--window W] [--iters-max 8] [--csv out.csv]
 //   sctm_cli explore  --trace /tmp/t.trc2 --candidates cands.cfg
-//                     [--screen-top K] [--threads N] [--tick-threads N]
+//                     [--screen-top K] [--threads N]
 //                     [--mode sctm] [--window W] [--csv out.csv]
 //   sctm_cli inspect  --trace /tmp/t.trc2 [--text]
 //   sctm_cli exec     --app fft --net onoc-setup [...]   (execution-driven)
@@ -35,10 +34,10 @@
 // fits the trace's node count (replay, explore) or --cores (capture, exec);
 // when given, the fabric must have exactly that many nodes.
 //
-// --threads (replay) and --tick-threads (explore) set the lanes of the
-// sharded ENoC router tick, the one intra-pass parallel path: 1 = serial
-// (default), 0 = one per hardware thread. Schedules are bit-identical for
-// any value. explore's --threads sets candidate workers instead.
+// explore's --threads sets the candidate workers (0 = one per hardware
+// thread); a single replay always runs on one thread. Each subcommand (and
+// trace/topo verb) accepts only the flags it reads: anything else is a usage
+// error, so a misspelled flag never runs silently with its default.
 //
 // Every run subcommand accepts --stats-json <path> to emit the machine-
 // readable run-metrics document (schema sctm.run_metrics.v1: manifest +
@@ -56,6 +55,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/json.hpp"
@@ -88,10 +88,10 @@ using namespace sctm;
       "[--cores N] [--lines N] [--iters N] [--mesh WxH] [--seed S] "
       "[--format v1|v2] [--faults <cfg>]\n"
       "  sctm_cli replay  --trace <file> --net <kind> [--mode naive|sctm] "
-      "[--window W] [--iters-max N] [--threads N] [--csv <file>] "
+      "[--window W] [--iters-max N] [--csv <file>] "
       "[--mesh WxH] [--faults <cfg>]\n"
       "  sctm_cli explore --trace <file> --candidates <config> "
-      "[--screen-top K] [--threads N] [--tick-threads N] "
+      "[--screen-top K] [--threads N] "
       "[--mode naive|sctm] [--window W] "
       "[--iters-max N] [--csv <file>] [--mesh WxH] [--faults <cfg>]\n"
       "  sctm_cli inspect --trace <file> [--text]\n"
@@ -114,9 +114,6 @@ using namespace sctm;
       "trace (replay, explore) or --cores (capture, exec); with one, its "
       "node count must match; explore candidates without net.topology/"
       "net.mesh_* keys inherit it\n"
-      "--threads N (replay) / --tick-threads N (explore): lanes for the "
-      "sharded ENoC router tick (hybrid: its electrical layer), 1 = serial, "
-      "0 = one per hardware thread; schedules are identical for any value. "
       "explore --threads N sets candidate workers (0 = hardware)\n"
       "all run subcommands accept --stats-json <file> (machine-readable "
       "run metrics)\n"
@@ -147,6 +144,48 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
   return out;
 }
 
+/// The flags each subcommand, or "trace"/"topo" verb, reads. Anything else
+/// is a usage error: a misspelled flag must not run with its default.
+const std::map<std::string, std::vector<std::string>>& known_flags() {
+  static const std::map<std::string, std::vector<std::string>> known = {
+      {"capture", {"app", "net", "out", "cores", "lines", "iters", "seed",
+                   "mesh", "topo", "format", "faults", "stats-json"}},
+      {"replay", {"trace", "net", "mode", "window", "iters-max", "csv",
+                  "mesh", "topo", "faults", "stats-json"}},
+      {"explore", {"trace", "candidates", "screen-top", "threads", "mode",
+                   "window", "iters-max", "csv", "mesh", "topo", "faults",
+                   "stats-json"}},
+      {"inspect", {"trace", "text", "stats-json"}},
+      {"exec", {"app", "net", "cores", "lines", "iters", "seed", "mesh",
+                "topo", "stats", "faults", "stats-json"}},
+      {"run", {"config", "stats-json"}},
+      {"validate", {"json"}},
+      {"trace info", {"trace", "chunks"}},
+      {"trace convert", {"in", "out", "format", "chunk"}},
+      {"trace verify", {"trace", "quick"}},
+      {"trace hash", {"trace"}},
+      {"trace add", {"trace", "dir"}},
+      {"trace list", {"dir"}},
+      {"topo info", {}},
+      {"topo verify", {"algo"}},
+  };
+  return known;
+}
+
+/// Rejects any flag `command` does not read. An unknown command passes
+/// through, so dispatch reports it as such.
+void check_flags(const std::string& command,
+                 const std::map<std::string, std::string>& f) {
+  const auto it = known_flags().find(command);
+  if (it == known_flags().end()) return;
+  for (const auto& [key, value] : f) {
+    if (std::find(it->second.begin(), it->second.end(), key) ==
+        it->second.end()) {
+      usage(("unknown flag --" + key).c_str());
+    }
+  }
+}
+
 /// `v` as a non-negative integer of type T: digits only, the whole string,
 /// in T's range. Anything else (a sign, junk, overflow) is nullopt.
 template <typename T>
@@ -161,7 +200,7 @@ std::optional<T> to_count(const std::string& v) {
 }
 
 /// The value `v` of flag --`key` as a non-negative integer, or a usage
-/// error naming the flag: a "-1" must not wrap to a huge lane count.
+/// error naming the flag: a "-1" must not wrap to a huge worker count.
 template <typename T>
 T count_flag(const std::string& key, const std::string& v) {
   if (const auto n = to_count<T>(v)) return *n;
@@ -397,13 +436,6 @@ core::ReplayConfig replay_cfg_from(const std::map<std::string, std::string>& f) 
   if (const auto it = f.find("iters-max"); it != f.end()) {
     cfg.max_iterations = count_flag<int>("iters-max", it->second);
   }
-  // ENoC router-tick lanes: 1 (the ReplayConfig default) = serial, 0 = one
-  // lane per hardware thread via resolve_threads(). Results are
-  // bit-identical for any value; `replay` also accepts the shorter
-  // --threads, while `explore` reserves that name for candidate workers.
-  if (const auto it = f.find("tick-threads"); it != f.end()) {
-    cfg.threads = count_flag<unsigned>("tick-threads", it->second);
-  }
   return cfg;
 }
 
@@ -415,10 +447,7 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
   const auto loaded = core::load_replay_trace(tr->second);
   const auto spec = spec_from(f, fabric_for(f, loaded.nodes(), "trace"));
 
-  core::ReplayConfig cfg = replay_cfg_from(f);
-  if (const auto it = f.find("threads"); it != f.end()) {
-    cfg.threads = count_flag<unsigned>("threads", it->second);
-  }
+  const core::ReplayConfig cfg = replay_cfg_from(f);
 
   const auto rep = core::run_replay(loaded, spec, cfg);
   const auto h = rep.result.latency_histogram();
@@ -542,13 +571,10 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
     RunMetrics m = core::metrics_for_explore(rt, candidates, cfg, results,
                                              "sctm_cli explore",
                                              now_iso8601());
-    // Resolved thread counts (S2): `0 = hardware` resolves through the one
-    // resolve_threads() convention, so the manifest records the lane counts
-    // the run actually used — candidate workers and per-session tick lanes.
+    // `0 = hardware` resolves through the one resolve_threads() convention,
+    // so the manifest records the worker count the run actually used.
     m.manifest.set("explore_workers",
                    static_cast<std::int64_t>(resolve_threads(cfg.threads)));
-    m.manifest.set("tick_threads",
-                   static_cast<std::int64_t>(resolve_threads(cfg.replay.threads)));
     maybe_emit_stats_json(f, m);
   }
   return 0;
@@ -904,6 +930,7 @@ int cmd_topo(int argc, char** argv) {
   if (argc < 4) usage("topo: missing <file|spec> argument");
   const std::string arg = argv[3];
   const auto flags = parse_flags(argc, argv, 4);
+  check_flags("topo " + verb, flags);
   const auto topo = topo_arg(arg);
   if (verb == "info") return cmd_topo_info(topo);
   if (verb == "verify") return cmd_topo_verify(topo, flags);
@@ -914,6 +941,7 @@ int cmd_trace(int argc, char** argv) {
   if (argc < 3) usage("trace: missing verb (info|convert|verify|hash|add|list)");
   const std::string verb = argv[2];
   const auto flags = parse_flags(argc, argv, 3);
+  check_flags("trace " + verb, flags);
   if (verb == "info") return cmd_trace_info(flags);
   if (verb == "convert") return cmd_trace_convert(flags);
   if (verb == "verify") return cmd_trace_verify(flags);
@@ -932,6 +960,7 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(argc, argv);
     if (cmd == "topo") return cmd_topo(argc, argv);
     const auto flags = parse_flags(argc, argv, 2);
+    check_flags(cmd, flags);
     if (cmd == "capture") return cmd_capture(flags);
     if (cmd == "replay") return cmd_replay(flags);
     if (cmd == "explore") return cmd_explore(flags);

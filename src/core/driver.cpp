@@ -201,9 +201,6 @@ RunMetrics metrics_for_replay(const ReplayTrace& rt, const NetSpec& net,
                    std::uint64_t{config.dependency_window});
     m.manifest.set("max_iterations", config.max_iterations);
   }
-  // Resolved tick-thread count (0 = hardware) — recorded for provenance even
-  // though results are thread-count invariant by construction.
-  m.manifest.set("tick_threads", std::uint64_t{resolve_threads(config.threads)});
   for (const auto& [k, v] : net.fault.manifest_entries()) m.manifest.set(k, v);
   m.manifest.set("trace_content_hash", tracestore::hash_hex(rt.content_hash()));
   m.add_phases(run.phases);

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -150,35 +147,24 @@ std::vector<ExploreResult> explore(const ReplayTrace& rt,
       out[i].name = candidates[i].name;
     }
   } else {
-    // Same `--threads 0` resolution as WorkerPool lane counts (S2: one
-    // convention everywhere), then clamped to the available work.
-    unsigned n = static_cast<unsigned>(std::min<std::size_t>(
+    // One parallel_for index per worker, each draining the shared counter
+    // with its own session. A failing worker drains the counter so its
+    // siblings stop early; parallel_for rethrows the first exception after
+    // every worker has joined.
+    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
         resolve_threads(cfg.threads), candidates.size()));
     std::atomic<std::size_t> next{0};
-    if (n <= 1) {
-      evaluate_candidates(rt, candidates, cfg.replay, next, out);
-    } else {
-      // Hand-rolled pool (parallel_for has no per-worker state): each worker
-      // owns one session; the first exception wins and is rethrown after
-      // every worker has joined.
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      auto worker = [&] {
-        try {
-          evaluate_candidates(rt, candidates, cfg.replay, next, out);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-          // Let the counter drain so sibling workers exit promptly.
-          next.store(candidates.size(), std::memory_order_relaxed);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(n);
-      for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-      for (auto& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    parallel_for(
+        workers,
+        [&](std::size_t) {
+          try {
+            evaluate_candidates(rt, candidates, cfg.replay, next, out);
+          } catch (...) {
+            next.store(candidates.size(), std::memory_order_relaxed);
+            throw;
+          }
+        },
+        workers);
   }
 
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {

@@ -51,16 +51,10 @@ struct ReplayConfig {
   int max_iterations = 8;
   /// Converged when the mean |Δinject| between passes drops below this.
   double convergence_threshold = 0.5;
-  /// Lanes for the ENoC router tick, the one intra-pass parallel path
-  /// (ReplaySession owns the pool and installs it on the kernel; every
-  /// other backend and the replay engine's own phases run serially, and
-  /// Hybrid shards only its electrical layer). The convention, asserted in
-  /// test_parallel_replay.cpp: the default `1` means serial (no pool is
-  /// built); `0` means one lane per hardware thread, resolved through
-  /// resolve_threads() in common/parallel.hpp exactly like every other
-  /// `--threads 0` knob; any other value is the literal lane count. Results
-  /// are bit-identical for every value (DESIGN.md §10), so this is purely a
-  /// speed knob.
+  /// Ignored: nothing reads it, and no CLI flag or config key sets it. The
+  /// benchmark definition still assigns it for its `lanes=W` reference
+  /// session; the field goes together with that session in a change to the
+  /// benchmark.
   unsigned threads = 1;
 };
 

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
-
 namespace sctm::core {
 
 namespace {
@@ -34,10 +32,6 @@ ReplaySession::ReplaySession(const ReplayTrace& rt,
   prev_inject_.assign(n, 0);
   result_.inject_time.reserve(n);
   result_.arrive_time.reserve(n);
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<WorkerPool>(config_.threads);
-    sim_.set_worker_pool(pool_.get());
-  }
   bind_network(factory);
 }
 
@@ -47,8 +41,6 @@ ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
   bound_spec_ = spec;
   has_spec_ = true;
 }
-
-ReplaySession::~ReplaySession() = default;
 
 void ReplaySession::bind_network(const NetworkFactory& factory) {
   net_ = factory(sim_);

@@ -24,12 +24,8 @@
 // exploration keeps one long-lived session per worker thread and rebind()s
 // it only when the candidate's NetSpec differs.
 //
-// Parallelism (config.threads != 1): the session owns a WorkerPool and
-// installs it on the kernel, where the ENoC router tick — the one intra-pass
-// parallel path — shards its cycles over it, bit-identically to serial
-// (DESIGN.md §10). The session's own phases (seed scan, per-cycle
-// delivered-dependency scan, eligibility-batch sort, bound and residual
-// recompute) are plain serial loops.
+// A session is single-threaded: parallelism lives across sessions, one per
+// explore worker (DESIGN.md §10).
 #pragma once
 
 #include <memory>
@@ -38,10 +34,6 @@
 #include "core/driver.hpp"
 #include "core/replay.hpp"
 
-namespace sctm {
-class WorkerPool;
-}
-
 namespace sctm::core {
 
 class ReplaySession {
@@ -49,9 +41,6 @@ class ReplaySession {
   /// Binds the session to `rt` (borrowed; must outlive the session), builds
   /// its kept-edge index for `config` and builds the network once via
   /// `factory`.
-  /// config.threads != 1 makes the session own a WorkerPool and install it
-  /// on the kernel; the ENoC router tick shards its cycles over it,
-  /// bit-identically to serial.
   ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
                 const ReplayConfig& config);
 
@@ -59,8 +48,6 @@ class ReplaySession {
   /// remembers the NetSpec it built, enabling the rebind(NetSpec) fast path.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                 const ReplayConfig& config);
-
-  ~ReplaySession();
 
   ReplaySession(const ReplaySession&) = delete;
   ReplaySession& operator=(const ReplaySession&) = delete;
@@ -130,9 +117,6 @@ class ReplaySession {
 
   KeptDepsCsr kept_;  // enforced dependency edges, parent-major
 
-  /// Owned worker pool (null when config.threads == 1). Declared before
-  /// sim_ so it outlives the kernel holding the non-owning pointer.
-  std::unique_ptr<WorkerPool> pool_;
   Simulator sim_;
   std::unique_ptr<noc::Network> net_;
   NetSpec bound_spec_;

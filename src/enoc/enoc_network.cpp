@@ -1,10 +1,8 @@
 #include "enoc/enoc_network.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace sctm::enoc {
@@ -29,8 +27,6 @@ EnocNetwork::EnocNetwork(Simulator& sim, std::string name,
   }
   active_bits_.assign((static_cast<std::size_t>(topo_.node_count()) + 63) / 64,
                       0);
-  shards_.resize(1);
-  shards_[0].clear_mask.assign(active_bits_.size(), 0);
   pending_.reserve(64);
 }
 
@@ -45,12 +41,7 @@ void EnocNetwork::reset() {
   pending_.clear();
   for (auto& w : active_bits_) w = 0;
   for (auto& c : link_stuck_until_) c = 0;
-  for (auto& s : shards_) {
-    s.outbox.clear();
-    for (auto& w : s.clear_mask) w = 0;
-    s.ticks = 0;
-  }
-  shards_in_use_ = 0;
+  outbox_.clear();
   in_flight_ = 0;
   // The tick event (if any) died with the simulator's queue reset; the next
   // inject re-arms the clock.
@@ -148,12 +139,11 @@ void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
   }
 }
 
-// Runs once per link traversal, at the serial outbox drain — the draw order
-// is the drain order, so the fault schedule is bit-identical at any shard
-// count. Faults never touch flow control: a corrupted/dropped symbol still
-// occupies the downstream datapath (the link-level coding flags it), so
-// wormhole and credit state are exactly the fault-free schedule until the
-// recovery retransmission perturbs it.
+// Runs once per link traversal, at the outbox drain — the draw order is the
+// drain order (ascending router id). Faults never touch flow control: a
+// corrupted/dropped symbol still occupies the downstream datapath (the
+// link-level coding flags it), so wormhole and credit state are exactly the
+// fault-free schedule until the recovery retransmission perturbs it.
 void EnocNetwork::apply_link_faults(NodeId node, int out_dir,
                                     const Flit& flit) {
   fault::FaultModel& fm = *fault_model();
@@ -229,121 +219,50 @@ void EnocNetwork::ensure_ticking() {
   sim().schedule_in(1, [this] { tick(); });
 }
 
-void EnocNetwork::prepare_shards(unsigned nshards) {
-  if (shards_.size() < nshards) shards_.resize(nshards);
-  for (unsigned s = 0; s < nshards; ++s) {
-    if (shards_[s].clear_mask.size() != active_bits_.size()) {
-      shards_[s].clear_mask.assign(active_bits_.size(), 0);
-    }
-  }
-  shards_in_use_ = nshards;
-}
-
 void EnocNetwork::tick() {
   ++active_cycles_;
-  // Shard the cycle when a pool is installed and the active set is dense
-  // enough to amortize the barriers. The threshold is purely a cost knob:
-  // serial and sharded cycles are bit-identical (same outbox + drain path),
-  // so flipping between them cycle by cycle is unobservable.
-  unsigned nshards = 1;
-  if (!exhaustive_tick_) {
-    WorkerPool* pool = sim().worker_pool();
-    if (pool != nullptr && pool->size() > 1) {
-      std::size_t actives = 0;
-      for (const std::uint64_t w : active_bits_) actives += std::popcount(w);
-      if (actives >= static_cast<std::size_t>(parallel_grain_) * pool->size()) {
-        nshards = std::min<unsigned>(
-            pool->size(), static_cast<unsigned>(routers_.size()));
+  if (exhaustive_tick_) {
+    // Seed policy (kept as a test oracle): tick every router every cycle,
+    // through the same outbox and drain as the scoreboard scan.
+    for (auto& w : active_bits_) w = 0;
+    for (auto& r : routers_) {
+      if (r->tick(outbox_)) mark_active(r->id());
+    }
+    router_ticks_ += routers_.size();
+  } else {
+    // Ascending scan of the scoreboard. A router that reports no work
+    // clears its own bit in place: router ticks only append to the outbox,
+    // so nothing sets a bit during the scan. Activations fired while
+    // draining below (ejection -> delivery -> same-cycle reply inject)
+    // therefore land after every clear and survive the cycle.
+    for (std::size_t w = 0; w < active_bits_.size(); ++w) {
+      for (std::uint64_t bits = active_bits_[w]; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        if (!routers_[(w << 6) + static_cast<std::size_t>(b)]->tick(outbox_)) {
+          active_bits_[w] &= ~(std::uint64_t{1} << b);
+        }
+        ++router_ticks_;
       }
     }
   }
-  prepare_shards(nshards);
-  if (nshards > 1) {
-    sim().worker_pool()->run([this, nshards](unsigned lane) {
-      if (lane < nshards) tick_partitioned(lane, nshards);
-    });
-  } else {
-    tick_partitioned(0, 1);
+  for (const auto& e : outbox_.entries) {
+    switch (e.kind) {
+      case RouterOutbox::Entry::Kind::kForward:
+        apply_forward(e.node, e.port, e.flit);
+        break;
+      case RouterOutbox::Entry::Kind::kEject:
+        apply_eject(e.node, e.flit);
+        break;
+      case RouterOutbox::Entry::Kind::kCredit:
+        apply_credit(e.node, e.port, e.vc);
+        break;
+    }
   }
-  drain_ticks();
+  outbox_.clear();
   if (in_flight_ > 0) {
     sim().schedule_in(1, [this] { tick(); });
   } else {
     ticking_ = false;
-  }
-}
-
-void EnocNetwork::tick_partitioned(unsigned shard, unsigned nshards) {
-  ShardState& st = shards_[shard];
-  if (exhaustive_tick_) {
-    // Seed policy (kept as a test oracle): tick every router every cycle.
-    // Serial by construction (tick() never shards this mode), but the side
-    // effects still flow through the outbox so the oracle exercises the
-    // same drain path.
-    for (auto& w : active_bits_) w = 0;
-    for (auto& r : routers_) {
-      if (r->tick(st.outbox)) mark_active(r->id());
-      ++st.ticks;
-    }
-    return;
-  }
-  // Contiguous router-id range per shard; entries land in the outbox in
-  // ascending router-id order within the shard, so the ascending-shard drain
-  // replays the serial engine's visit order exactly. The live scoreboard is
-  // read-only here — no-work routers are recorded in the shard's clear mask
-  // (shards may share a 64-bit word, so concurrent RMW on active_bits_
-  // itself would race).
-  const std::size_t n = routers_.size();
-  const std::size_t lo = n * shard / nshards;
-  const std::size_t hi = n * (shard + 1) / nshards;
-  for (std::size_t idx = lo; idx < hi;) {
-    const std::size_t w = idx >> 6;
-    std::uint64_t bits = active_bits_[w] >> (idx & 63);
-    if (bits == 0) {
-      idx = (w + 1) << 6;  // next word
-      continue;
-    }
-    idx += static_cast<std::size_t>(std::countr_zero(bits));
-    if (idx >= hi) break;
-    if (!routers_[idx]->tick(st.outbox)) {
-      st.clear_mask[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    }
-    ++st.ticks;
-    ++idx;
-  }
-}
-
-void EnocNetwork::drain_ticks() {
-  const unsigned used = shards_in_use_;
-  shards_in_use_ = 0;
-  // Clear masks first, across ALL shards, before any outbox entry is
-  // applied: draining can activate routers synchronously (ejection →
-  // delivery → same-cycle reply inject → mark_active), and those
-  // activations must survive this cycle's clears.
-  for (unsigned s = 0; s < used; ++s) {
-    ShardState& st = shards_[s];
-    for (std::size_t w = 0; w < active_bits_.size(); ++w) {
-      active_bits_[w] &= ~st.clear_mask[w];
-      st.clear_mask[w] = 0;
-    }
-    router_ticks_ += st.ticks;
-    st.ticks = 0;
-  }
-  for (unsigned s = 0; s < used; ++s) {
-    for (const auto& e : shards_[s].outbox.entries) {
-      switch (e.kind) {
-        case RouterOutbox::Entry::Kind::kForward:
-          apply_forward(e.node, e.port, e.flit);
-          break;
-        case RouterOutbox::Entry::Kind::kEject:
-          apply_eject(e.node, e.flit);
-          break;
-        case RouterOutbox::Entry::Kind::kCredit:
-          apply_credit(e.node, e.port, e.vc);
-          break;
-      }
-    }
-    shards_[s].outbox.clear();
   }
 }
 

@@ -17,15 +17,12 @@
 // (every pipeline phase early-outs on empty buffers), which the exhaustive
 // tick mode (set_exhaustive_tick_for_test) lets tests verify directly.
 //
-// Sharded parallel ticking — the simulator's one intra-pass parallel path:
-// one cycle's router work may be split across the Simulator's WorkerPool.
-// Router ticks are pure per-router (side effects go to a per-shard
-// RouterOutbox, never to the network), so shards race on nothing; the
-// dispatching thread then drains outboxes in ascending shard — hence
-// ascending router-id — order, replaying the serial engine's exact
-// side-effect sequence. Every mode (serial, parallel, exhaustive oracle)
-// routes through the same outbox+drain path, so results are bit-identical
-// for every thread count by construction. See DESIGN.md §10.
+// Two-phase tick: routers compute, the network applies. Router ticks are
+// pure per-router — forwards, ejections and credits go to one RouterOutbox,
+// never to the network — and the network drains the outbox after the scan,
+// in ascending router-id order. Both modes (scoreboard and the exhaustive
+// oracle) route through the same outbox + drain path. Parallel ticking was
+// measured and deleted; DESIGN.md §10 records why.
 #pragma once
 
 #include <functional>
@@ -51,8 +48,8 @@ class EnocNetwork final : public noc::Network {
   /// Session reset: routers, in-flight table, activity scoreboard and
   /// datapath counters return to freshly-constructed state with all
   /// capacity retained. Test/debug configuration (exhaustive tick mode, the
-  /// activity probe, the parallel grain) survives. The owning Simulator must
-  /// be reset first — the self-clocking tick event lives in its queue.
+  /// activity probe) survives. The owning Simulator must be reset first —
+  /// the self-clocking tick event lives in its queue.
   void reset() override;
 
   /// In-place re-parameterization (the rebind fast path): swaps router
@@ -64,11 +61,10 @@ class EnocNetwork final : public noc::Network {
 
   /// Fault injection (DESIGN.md §11): link-level faults — payload
   /// corruption, flit drop, stuck-at episodes — are drawn per link traversal
-  /// at the serial outbox drain, so the schedule is bit-identical at any
-  /// shard count. Faults corrupt *payloads*, never flow control: the wire
-  /// symbol still traverses (wormhole/credit state untouched), detection
-  /// happens at tail reassembly, recovery is a NACK + source re-injection
-  /// bounded by the spec's retry budget.
+  /// at the outbox drain, in drain order. Faults corrupt *payloads*, never
+  /// flow control: the wire symbol still traverses (wormhole/credit state
+  /// untouched), detection happens at tail reassembly, recovery is a NACK +
+  /// source re-injection bounded by the spec's retry budget.
   void install_fault_model(const fault::FaultSpec& spec) override;
 
   const noc::Topology& topology() const { return topo_; }
@@ -88,17 +84,9 @@ class EnocNetwork final : public noc::Network {
 
   /// Test hook: tick every router each cycle (the seed scheduling policy)
   /// instead of draining the active set. Behaviour must be bit-identical;
-  /// the quiescence regression test asserts it. Forces serial ticking (the
-  /// oracle predates sharding), but still drains through the outbox.
+  /// the quiescence regression test asserts it. Drains through the same
+  /// outbox as the scoreboard scan.
   void set_exhaustive_tick_for_test(bool on) { exhaustive_tick_ = on; }
-
-  /// Minimum active routers *per pool lane* before a cycle is sharded
-  /// across the worker pool; below the threshold the cycle runs serially
-  /// (bit-identical either way, so this is purely a cost knob — sharding a
-  /// near-empty cycle costs more in barriers than it saves). 0 shards every
-  /// cycle whenever a pool is installed (tests use this to exercise the
-  /// parallel path on small workloads).
-  void set_parallel_grain(unsigned grain) override { parallel_grain_ = grain; }
 
   /// Order-sensitive hash over every flit hop and ejection (msg, seq, node,
   /// port, cycle). Two runs with identical datapath behaviour produce
@@ -113,13 +101,12 @@ class EnocNetwork final : public noc::Network {
   void set_activity_probe(ActivityProbe fn) { probe_ = std::move(fn); }
 
  private:
-  // Outbox drain handlers — exactly the serial engine's side-effect bodies,
-  // now invoked from drain_ticks() on the dispatching thread.
+  // Outbox drain handlers, applied by tick() after every router has ticked.
   void apply_forward(NodeId node, int out_dir, const Flit& flit);
   void apply_eject(NodeId node, const Flit& flit);
   void apply_credit(NodeId node, int in_dir, int vc);
 
-  // Fault path (all serial: drain handlers and event dispatch).
+  // Fault path (drain handlers and event dispatch).
   void apply_link_faults(NodeId node, int out_dir, const Flit& flit);
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
@@ -127,13 +114,6 @@ class EnocNetwork final : public noc::Network {
   void tick();
   void ensure_ticking();
   void mark_active(NodeId n);
-  void prepare_shards(unsigned nshards);
-  /// Ticks shard `shard` of `nshards` — serially (shard 0 of 1) or
-  /// concurrently from pool lanes; touches only shard-local state.
-  void tick_partitioned(unsigned shard, unsigned nshards);
-  /// Applies the side effects the preceding tick_partitioned calls recorded,
-  /// in ascending shard order, on the event-dispatching thread.
-  void drain_ticks();
 
   struct PendingMsg {
     noc::Message msg;
@@ -141,16 +121,6 @@ class EnocNetwork final : public noc::Network {
     /// Any flit of this message hit a fault in transit; the reassembly check
     /// at tail ejection sees it and triggers recovery.
     bool fault_bad = false;
-  };
-
-  /// Per-shard tick state. Shards never touch the live scoreboard: routers
-  /// that report no work are recorded in `clear_mask` and the masks are
-  /// applied at drain — before any outbox entry, so activations fired while
-  /// draining (ejection → delivery → same-cycle reply inject) survive.
-  struct ShardState {
-    RouterOutbox outbox;
-    std::vector<std::uint64_t> clear_mask;  // sized like active_bits_
-    std::uint64_t ticks = 0;
   };
 
   noc::Topology topo_;
@@ -169,9 +139,9 @@ class EnocNetwork final : public noc::Network {
   /// count (file fabrics may exceed the lattice kinds' fixed radix).
   std::size_t link_stride_ = 0;
   std::vector<Cycle> link_stuck_until_;
-  std::vector<ShardState> shards_;
-  unsigned shards_in_use_ = 0;
-  unsigned parallel_grain_ = 2;
+  /// Side effects of the current cycle's router ticks, in ascending
+  /// router-id order; drained and cleared at the end of tick().
+  RouterOutbox outbox_;
   std::uint64_t in_flight_ = 0;
   bool ticking_ = false;
   bool exhaustive_tick_ = false;

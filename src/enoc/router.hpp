@@ -24,10 +24,9 @@
 //
 // Side effects leave through a RouterOutbox instead of mutating the network
 // directly: forwarded flits, ejections and upstream credits are recorded in
-// emission order and the owning network drains them at its cycle barrier in
-// ascending router-id order — the serial visit order — which is what makes
-// sharded parallel ticking bit-identical to the serial engine (the tick
-// itself touches only router-local state).
+// emission order and the owning network drains them after every router has
+// ticked, in ascending router-id order (the tick itself touches only
+// router-local state).
 //
 // The datapath is allocation-free in steady state: input VCs are
 // fixed-capacity rings sized to buffer_depth, injection staging is a
@@ -61,10 +60,9 @@
 namespace sctm::enoc {
 
 /// Deferred router side effects for one cycle, recorded in emission order.
-/// One outbox per shard: routers of a shard append in ascending-id order, so
-/// draining shards in ascending order replays the exact side-effect sequence
-/// of the serial engine (per-router emission order interleaved at router
-/// granularity). The entry vector retains capacity across cycles.
+/// The network owns one outbox; routers append in ascending-id order, so the
+/// drain replays per-router emission order at router granularity. The entry
+/// vector retains capacity across cycles.
 struct RouterOutbox {
   struct Entry {
     enum class Kind : std::uint8_t { kForward, kEject, kCredit };

@@ -6,13 +6,13 @@
 // in the network that draws it (enoc/onoc code decides what a corrupted flit
 // or a lost token means for its datapath).
 //
-// Every draw happens at a serial point, so the fault schedule is the same
-// at any thread count (DESIGN.md §10/§11):
+// Every draw happens at a fixed point of the event order, so the fault
+// schedule is a function of the spec seed alone (DESIGN.md §11):
 //
-//  * Serial streams (ENoC flit faults, reservation loss, optical data
+//  * Per-class streams (ENoC flit faults, reservation loss, optical data
 //    corruption) are consumed at the ENoC outbox drain and at event
-//    dispatch, whose order is bit-identical to the serial engine at any
-//    shard count, so one stream per class suffices.
+//    dispatch, in that deterministic order, so one stream per class
+//    suffices.
 //  * Token loss draws from a per-channel child stream in the ONoC
 //    arbitration flush. Each channel's draw sequence follows its own
 //    request arrival order, so a channel's losses do not depend on traffic
@@ -52,7 +52,7 @@ class FaultModel {
 
   const FaultSpec& spec() const { return spec_; }
 
-  // --- ENoC plane: call only from the serial outbox drain ------------------
+  // --- ENoC plane: call only from the outbox drain -------------------------
   bool draw_flit_corrupt();
   bool draw_flit_drop();
   bool draw_link_stuck_onset();

@@ -51,15 +51,6 @@ class Network : public Component {
   /// dropped are forgotten here too. Overrides must call Network::reset().
   virtual void reset() = 0;
 
-  /// Minimum active routers *per pool lane* before an ENoC cycle is sharded
-  /// across the Simulator's worker pool. The ENoC router tick is the only
-  /// backend work that shards (DESIGN.md §10): Hybrid forwards the grain to
-  /// its electrical layer, and the event-driven backends ignore it. Serial
-  /// and sharded cycles are bit-identical, so this is purely a cost knob; 0
-  /// shards every cycle whenever a pool is installed (tests use this to
-  /// exercise the parallel path on small workloads).
-  virtual void set_parallel_grain(unsigned grain) { (void)grain; }
-
   /// Installs a fault model built from `spec` (must be enabled() — inert
   /// specs build no model so the fault-free path stays byte-identical).
   /// Counters register under "<name>.fault.*". Call once, before traffic;

@@ -42,12 +42,6 @@ class HybridNetwork final : public noc::Network {
   /// freshly-constructed state (capacity retained). Reset the Simulator first.
   void reset() override;
 
-  /// Only the electrical layer has a router tick to shard; the optical
-  /// layer arbitrates serially in its own late-band flush.
-  void set_parallel_grain(unsigned grain) override {
-    electrical_->set_parallel_grain(grain);
-  }
-
   /// Faults install per layer (counters under "<name>.el.fault.*" /
   /// "<name>.op.fault.*"), with decorrelated root seeds so both planes draw
   /// independent fault schedules from one configured seed. The hybrid shell

@@ -58,72 +58,12 @@ TEST(ParallelFor, DefaultParallelismPositive) {
   EXPECT_GE(default_parallelism(), 1u);
 }
 
-TEST(WorkerPool, EveryLaneRunsExactlyOnce) {
-  WorkerPool pool(4);
-  ASSERT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.run([&](unsigned lane) {
-    ASSERT_LT(lane, 4u);
-    hits[lane].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ReusableAcrossManyPhases) {
-  // The whole point of the pool: thousands of barrier-synced phases on the
-  // same resident threads, no spawn per phase.
-  WorkerPool pool(3);
-  std::vector<std::uint64_t> sums(pool.size(), 0);
-  for (int phase = 0; phase < 2000; ++phase) {
-    pool.run([&](unsigned lane) { sums[lane] += 1; });
-  }
-  for (const auto s : sums) EXPECT_EQ(s, 2000u);
-}
-
-TEST(WorkerPool, PhasesAreBarrierSynced) {
-  // run() returning is a full barrier: writes from every lane in phase k
-  // must be visible to every lane in phase k+1.
-  WorkerPool pool(4);
-  // Double-buffered neighbor propagation: each phase, every lane reads its
-  // neighbor's cell from the previous phase and writes its own. Only the
-  // inter-phase barrier makes the neighbor's prior write visible; a torn or
-  // overlapped phase desynchronizes the cells.
-  std::vector<std::uint64_t> a(4, 0), b(4, 0);
-  std::vector<std::uint64_t>* src = &a;
-  std::vector<std::uint64_t>* dst = &b;
-  for (int phase = 0; phase < 500; ++phase) {
-    pool.run([&](unsigned lane) { (*dst)[lane] = (*src)[(lane + 1) % 4] + 1; });
-    std::swap(src, dst);
-  }
-  for (const auto c : *src) EXPECT_EQ(c, 500u);
-}
-
-TEST(WorkerPool, SizeOneRunsInline) {
-  WorkerPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  std::thread::id id;
-  pool.run([&](unsigned lane) {
-    EXPECT_EQ(lane, 0u);
-    id = std::this_thread::get_id();
-  });
-  EXPECT_EQ(id, std::this_thread::get_id());
-}
-
-TEST(WorkerPool, RethrowsFirstException) {
-  WorkerPool pool(4);
-  EXPECT_THROW(pool.run([](unsigned lane) {
-    if (lane == 2) throw std::runtime_error("lane boom");
-  }),
-               std::runtime_error);
-  // The pool stays usable after an exceptional phase.
-  std::atomic<int> count{0};
-  pool.run([&](unsigned) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 4);
-}
-
-TEST(WorkerPool, DefaultSizeUsesHardware) {
-  WorkerPool pool(0);
-  EXPECT_EQ(pool.size(), default_parallelism());
+// The one `--threads` convention: 0 = one per hardware thread, anything
+// else taken literally.
+TEST(ParallelFor, ResolveThreadsZeroMeansHardware) {
+  EXPECT_EQ(resolve_threads(0), default_parallelism());
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(5), 5u);
 }
 
 }  // namespace

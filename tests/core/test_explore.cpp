@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sctm::core {
 namespace {
 
@@ -50,20 +53,40 @@ TEST(Explore, SortedByRuntime) {
 }
 
 TEST(Explore, ThreadCountInvariant) {
-  // One worker with one long-lived session versus the full hardware pool
-  // (threads=0 -> default_parallelism()): the partitioning of candidates
-  // onto sessions — and therefore which results come from a pure reset
-  // versus a rebind versus a fresh session — must not leak into any metric.
+  // One worker with one long-lived session versus 2, 4 and the full
+  // hardware pool (threads=0 -> default_parallelism()): the partitioning of
+  // candidates onto sessions — and therefore which results come from a pure
+  // reset versus a rebind versus a fresh session — must not leak into any
+  // metric or the ranking.
   const auto trace = capture_fft();
   const auto serial = explore(trace, small_space(), {}, 1);
-  const auto parallel = explore(trace, small_space(), {}, 0);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].name, parallel[i].name);
-    EXPECT_EQ(serial[i].runtime, parallel[i].runtime);
-    EXPECT_DOUBLE_EQ(serial[i].mean_latency, parallel[i].mean_latency);
-    EXPECT_EQ(serial[i].p99_latency, parallel[i].p99_latency);
-    EXPECT_EQ(serial[i].iterations, parallel[i].iterations);
+  for (const unsigned threads : {2u, 4u, 0u}) {
+    const auto parallel = explore(trace, small_space(), {}, threads);
+    const std::string what = "threads=" + std::to_string(threads);
+    ASSERT_EQ(serial.size(), parallel.size()) << what;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].name, parallel[i].name) << what;
+      EXPECT_EQ(serial[i].runtime, parallel[i].runtime) << what;
+      EXPECT_DOUBLE_EQ(serial[i].mean_latency, parallel[i].mean_latency)
+          << what;
+      EXPECT_EQ(serial[i].p99_latency, parallel[i].p99_latency) << what;
+      EXPECT_EQ(serial[i].iterations, parallel[i].iterations) << what;
+    }
+  }
+}
+
+TEST(Explore, WorkerExceptionIsRethrownAfterJoin) {
+  // A candidate the trace cannot bind to fails its worker; explore stops
+  // the other workers and rethrows that error, at any worker count.
+  const auto trace = capture_fft();
+  std::vector<Candidate> space = small_space();
+  NetSpec bad;
+  bad.kind = NetKind::kEnoc;
+  bad.topo = noc::Topology::mesh(8, 8);  // 64 nodes for a 16-node trace
+  space.insert(space.begin() + 1, {"bad", bad});
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_THROW(explore(trace, space, {}, threads), std::invalid_argument)
+        << "threads=" << threads;
   }
 }
 

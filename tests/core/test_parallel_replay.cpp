@@ -1,13 +1,11 @@
-// Determinism matrix for parallel replay: a ReplaySession with any worker
-// thread count must produce bit-identical results — full schedules, derived
-// runtime, kernel event counts AND the complete final stat registry — on
-// every network kind. The ENoC tick grain is forced to 0 so the one
-// intra-pass parallel path, the ENoC router tick (hybrid: its electrical
-// layer), shards every cycle on this small trace; the other kinds prove
-// that installing a pool leaves the serial backends untouched. The matrix
-// also pins the in-place rebind fast path against fresh construction, and
-// the ReplayConfig::threads convention (1 = serial default, 0 = hardware)
-// against resolve_threads().
+// Determinism matrix for concurrent replay sessions. explore() runs one
+// ReplaySession per worker thread, so a session must share no mutable state
+// with any other. Replaying one spec on N sessions at once — one per
+// parallel_for worker — must give every session results bit-identical to a
+// serial run on the calling thread: full schedules, derived runtime, kernel
+// event counts AND the complete final stat registry, on every network kind
+// and on the 3D and file-defined fabrics. The file also pins the in-place
+// rebind fast path against fresh construction.
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 
 #include "common/parallel.hpp"
 #include "core/driver.hpp"
-#include "enoc/enoc_network.hpp"
 #include "noc/routing.hpp"
 
 namespace sctm::core {
@@ -61,21 +58,16 @@ const ReplayTrace& shared_rt() {
   return rt;
 }
 
-/// Runs one full replay with `threads` tick workers and returns the result
-/// plus the rendered final stat registry (every counter the components
-/// registered — a divergence anywhere in the datapath shows up here even if
-/// the schedule happens to match).
+/// Runs one full replay and returns the result plus the rendered final stat
+/// registry (every counter the components registered — a divergence anywhere
+/// in the datapath shows up here even if the schedule happens to match).
 struct MatrixRun {
   ReplayResult result;
   std::string stats_report;
 };
 
-MatrixRun run_spec_with_threads(const ReplayTrace& rt, const NetSpec& spec,
-                                unsigned threads) {
-  ReplayConfig cfg;
-  cfg.threads = threads;
-  ReplaySession session(rt, spec, cfg);
-  session.network().set_parallel_grain(0);  // shard every ENoC cycle
+MatrixRun run_spec(const ReplayTrace& rt, const NetSpec& spec) {
+  ReplaySession session(rt, spec, ReplayConfig{});
   session.run();
   MatrixRun out;
   out.stats_report = session.result().stats.report();
@@ -83,25 +75,34 @@ MatrixRun run_spec_with_threads(const ReplayTrace& rt, const NetSpec& spec,
   return out;
 }
 
-MatrixRun run_with_threads(NetKind kind, unsigned threads) {
-  return run_spec_with_threads(shared_rt(), spec_of(kind), threads);
-}
-
-class ParallelReplayMatrix : public ::testing::TestWithParam<NetKind> {};
-
-TEST_P(ParallelReplayMatrix, AnyThreadCountIsBitIdenticalToSerial) {
-  const NetKind kind = GetParam();
-  const MatrixRun serial = run_with_threads(kind, /*threads=*/1);
-  ASSERT_FALSE(serial.result.arrive_time.empty());
-  for (const unsigned threads : {2u, 3u, 8u}) {
-    const MatrixRun par = run_with_threads(kind, threads);
-    const std::string what = "threads=" + std::to_string(threads);
+/// Replays `spec` on `threads` sessions at once, one per parallel_for worker
+/// (the way explore() runs candidates), and checks each against `serial`.
+void expect_concurrent_runs_match(const ReplayTrace& rt, const NetSpec& spec,
+                                  const MatrixRun& serial, unsigned threads) {
+  std::vector<MatrixRun> runs(threads);
+  parallel_for(
+      threads, [&](std::size_t i) { runs[i] = run_spec(rt, spec); }, threads);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const MatrixRun& par = runs[i];
+    const std::string what =
+        "threads=" + std::to_string(threads) + " session " + std::to_string(i);
     EXPECT_EQ(par.result.inject_time, serial.result.inject_time) << what;
     EXPECT_EQ(par.result.arrive_time, serial.result.arrive_time) << what;
     EXPECT_EQ(par.result.runtime, serial.result.runtime) << what;
     EXPECT_EQ(par.result.events, serial.result.events) << what;
     EXPECT_EQ(par.result.iterations, serial.result.iterations) << what;
     EXPECT_EQ(par.stats_report, serial.stats_report) << what;
+  }
+}
+
+class ParallelReplayMatrix : public ::testing::TestWithParam<NetKind> {};
+
+TEST_P(ParallelReplayMatrix, AnyThreadCountIsBitIdenticalToSerial) {
+  const NetSpec spec = spec_of(GetParam());
+  const MatrixRun serial = run_spec(shared_rt(), spec);
+  ASSERT_FALSE(serial.result.arrive_time.empty());
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    expect_concurrent_runs_match(shared_rt(), spec, serial, threads);
   }
 }
 
@@ -118,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ParallelReplayMatrix,
 
 // The graph-backed fabrics go through the same guarantee: every network
 // kind, on a 3D lattice and on a file-defined irregular fabric, replays
-// bit-identically at any worker thread count. Traces are captured per
+// bit-identically on any number of concurrent sessions. Traces are captured per
 // topology (the replay engine requires the trace's core count to match the
 // fabric), with the fabric's natural routing algorithm.
 NetSpec spec_on(NetKind kind, const noc::Topology& topo) {
@@ -165,17 +166,10 @@ class TopologyReplayMatrix : public ::testing::TestWithParam<NetKind> {};
 TEST_P(TopologyReplayMatrix, Mesh3DIsBitIdenticalAtAnyThreadCount) {
   const NetSpec spec = spec_on(GetParam(), noc::Topology::mesh3d(4, 4, 2));
   const ReplayTrace& rt = trace_on(spec.topo);
-  const MatrixRun serial = run_spec_with_threads(rt, spec, /*threads=*/1);
+  const MatrixRun serial = run_spec(rt, spec);
   ASSERT_FALSE(serial.result.arrive_time.empty());
   for (const unsigned threads : {2u, 8u}) {
-    const MatrixRun par = run_spec_with_threads(rt, spec, threads);
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(par.result.inject_time, serial.result.inject_time) << what;
-    EXPECT_EQ(par.result.arrive_time, serial.result.arrive_time) << what;
-    EXPECT_EQ(par.result.runtime, serial.result.runtime) << what;
-    EXPECT_EQ(par.result.events, serial.result.events) << what;
-    EXPECT_EQ(par.result.iterations, serial.result.iterations) << what;
-    EXPECT_EQ(par.stats_report, serial.stats_report) << what;
+    expect_concurrent_runs_match(rt, spec, serial, threads);
   }
 }
 
@@ -184,17 +178,10 @@ TEST_P(TopologyReplayMatrix, FileFabricIsBitIdenticalAtAnyThreadCount) {
   if (topo == nullptr) GTEST_SKIP() << "configs/group12.topo not reachable";
   const NetSpec spec = spec_on(GetParam(), *topo);
   const ReplayTrace& rt = trace_on(spec.topo);
-  const MatrixRun serial = run_spec_with_threads(rt, spec, /*threads=*/1);
+  const MatrixRun serial = run_spec(rt, spec);
   ASSERT_FALSE(serial.result.arrive_time.empty());
   for (const unsigned threads : {2u, 8u}) {
-    const MatrixRun par = run_spec_with_threads(rt, spec, threads);
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(par.result.inject_time, serial.result.inject_time) << what;
-    EXPECT_EQ(par.result.arrive_time, serial.result.arrive_time) << what;
-    EXPECT_EQ(par.result.runtime, serial.result.runtime) << what;
-    EXPECT_EQ(par.result.events, serial.result.events) << what;
-    EXPECT_EQ(par.result.iterations, serial.result.iterations) << what;
-    EXPECT_EQ(par.stats_report, serial.stats_report) << what;
+    expect_concurrent_runs_match(rt, spec, serial, threads);
   }
 }
 
@@ -206,48 +193,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TopologyReplayMatrix,
                            }
                            return name;
                          });
-
-// --- Iterative refinement / threads convention ------------------------------
-
-// Truncated-window iterative refinement over a sharded ENoC tick; the
-// trajectory (iteration count and per-pass residuals) must match serial
-// exactly.
-TEST(ShardedEligibility, IterativeRefinementMatchesSerial) {
-  const ReplayTrace& rt = shared_rt();
-  ReplayConfig base;
-  base.dependency_window = 1;  // truncate so run() actually iterates
-  ReplaySession serial(rt, spec_of(NetKind::kEnoc), base);
-  serial.run();
-
-  ReplayConfig cfg = base;
-  cfg.threads = 4;
-  ReplaySession sharded(rt, spec_of(NetKind::kEnoc), cfg);
-  sharded.network().set_parallel_grain(0);
-  sharded.run();
-
-  EXPECT_EQ(sharded.result().iterations, serial.result().iterations);
-  EXPECT_EQ(sharded.result().residual, serial.result().residual);
-  EXPECT_EQ(sharded.result().inject_time, serial.result().inject_time);
-  ASSERT_EQ(sharded.result().iteration_log.size(),
-            serial.result().iteration_log.size());
-  for (std::size_t i = 0; i < serial.result().iteration_log.size(); ++i) {
-    EXPECT_EQ(sharded.result().iteration_log[i].residual,
-              serial.result().iteration_log[i].residual)
-        << "pass " << i;
-  }
-}
-
-// The ReplayConfig::threads convention (asserted per the doc in
-// replay.hpp): default 1 = serial, 0 = one lane per hardware thread, and
-// every `0 = hardware` knob resolves through the same resolve_threads().
-TEST(ShardedEligibility, ThreadsConventionIsSerialDefaultZeroHardware) {
-  EXPECT_EQ(ReplayConfig{}.threads, 1u);
-  EXPECT_EQ(resolve_threads(0), default_parallelism());
-  EXPECT_EQ(resolve_threads(1), 1u);
-  EXPECT_EQ(resolve_threads(5), 5u);
-  EXPECT_EQ(WorkerPool(0).size(), default_parallelism());
-  EXPECT_EQ(WorkerPool(3).size(), 3u);
-}
 
 // --- In-place rebind fast path -------------------------------------------
 

@@ -84,15 +84,20 @@ struct WorkloadResult {
 
 /// A contended deterministic workload: staggered all-to-few bursts on an
 /// 8x8 mesh, enough overlap to exercise credit stalls, VC contention and
-/// multi-flit wormhole interleaving.
-WorkloadResult run_workload(bool exhaustive) {
+/// multi-flit wormhole interleaving. `chain` adds a same-cycle reply inject
+/// from each delivery, which activates a router while tick() drains.
+WorkloadResult run_workload(bool exhaustive, bool chain = false) {
   Simulator sim;
   const auto topo = Topology::mesh(8, 8);
   EnocNetwork net(sim, "enoc", topo, small_params());
   net.set_exhaustive_tick_for_test(exhaustive);
   WorkloadResult out;
+  MsgId reply_next = 100000;  // distinct id space: one reply per original
   net.set_deliver_callback([&](const Message& m) {
     out.deliveries.emplace_back(m.id, sim.now());
+    if (chain && m.id < 100000) {
+      net.inject(make_msg(reply_next++, m.dst, m.src, 32));
+    }
   });
   MsgId next = 1;
   for (int burst = 0; burst < 8; ++burst) {
@@ -134,6 +139,20 @@ TEST(Quiescence, ScoreboardRunIsSelfDeterministic) {
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.router_ticks, b.router_ticks);
   EXPECT_EQ(a.events, b.events);
+}
+
+TEST(Quiescence, DrainTimeActivationsSurviveScoreboardClears) {
+  // The scan clears a no-work router's bit in place, before the outbox
+  // drains. A delivery during the drain (ejection -> deliver -> same-cycle
+  // reply inject) then re-activates the reply's source router, and that
+  // activation must survive the cycle. If it were cleared, the reply's
+  // flits would strand: the run would deadlock (caught by the suite
+  // timeout) or lose deliveries.
+  const WorkloadResult sb = run_workload(/*exhaustive=*/false, /*chain=*/true);
+  const WorkloadResult ex = run_workload(/*exhaustive=*/true, /*chain=*/true);
+  ASSERT_EQ(sb.deliveries.size(), 192u);  // 96 originals + 96 replies
+  EXPECT_EQ(sb.activity_hash, ex.activity_hash);
+  EXPECT_EQ(sb.deliveries, ex.deliveries);
 }
 
 }  // namespace

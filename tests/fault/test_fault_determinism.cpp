@@ -1,8 +1,9 @@
 // Determinism matrix for fault injection (DESIGN.md §11): with every fault
 // class armed, a replay must be bit-identical — schedules, runtime, events,
-// and the complete final stat registry including the fault counters — at any
-// worker thread count, on every network kind, with the ENoC router tick
-// forced to shard every cycle (grain 0). The matrix also pins the session
+// and the complete final stat registry including the fault counters — on
+// every network kind, whether it runs alone or on one of several sessions
+// replaying at once on parallel_for workers (as explore() runs them). The
+// matrix also pins the session
 // reset-reuse protocol (a reused session replays the fresh fault schedule),
 // the zero-rate identity (an inert FaultSpec leaves results and stats
 // byte-identical to a run without the fault field), and the manifest echo of
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/driver.hpp"
 #include "core/replay_session.hpp"
 #include "fault/fault_spec.hpp"
@@ -76,11 +78,8 @@ struct MatrixRun {
   std::string stats_report;
 };
 
-MatrixRun run_with_threads(const NetSpec& spec, unsigned threads) {
-  ReplayConfig cfg;
-  cfg.threads = threads;
-  ReplaySession session(shared_rt(), spec, cfg);
-  session.network().set_parallel_grain(0);  // shard every ENoC cycle
+MatrixRun run_spec(const NetSpec& spec) {
+  ReplaySession session(shared_rt(), spec, ReplayConfig{});
   session.run();
   MatrixRun out;
   out.stats_report = session.result().stats.report();
@@ -92,17 +91,23 @@ class FaultedReplayMatrix : public ::testing::TestWithParam<NetKind> {};
 
 TEST_P(FaultedReplayMatrix, AnyThreadCountIsBitIdenticalToSerial) {
   const NetSpec spec = faulted_spec(GetParam());
-  const MatrixRun serial = run_with_threads(spec, /*threads=*/1);
+  const MatrixRun serial = run_spec(spec);
   ASSERT_FALSE(serial.result.arrive_time.empty());
   for (const unsigned threads : {2u, 8u}) {
-    const MatrixRun par = run_with_threads(spec, threads);
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(par.result.inject_time, serial.result.inject_time) << what;
-    EXPECT_EQ(par.result.arrive_time, serial.result.arrive_time) << what;
-    EXPECT_EQ(par.result.runtime, serial.result.runtime) << what;
-    EXPECT_EQ(par.result.events, serial.result.events) << what;
-    EXPECT_EQ(par.result.iterations, serial.result.iterations) << what;
-    EXPECT_EQ(par.stats_report, serial.stats_report) << what;
+    std::vector<MatrixRun> runs(threads);
+    parallel_for(
+        threads, [&](std::size_t i) { runs[i] = run_spec(spec); }, threads);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const MatrixRun& par = runs[i];
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " session " + std::to_string(i);
+      EXPECT_EQ(par.result.inject_time, serial.result.inject_time) << what;
+      EXPECT_EQ(par.result.arrive_time, serial.result.arrive_time) << what;
+      EXPECT_EQ(par.result.runtime, serial.result.runtime) << what;
+      EXPECT_EQ(par.result.events, serial.result.events) << what;
+      EXPECT_EQ(par.result.iterations, serial.result.iterations) << what;
+      EXPECT_EQ(par.stats_report, serial.stats_report) << what;
+    }
   }
 }
 
@@ -182,8 +187,8 @@ TEST(FaultedReplay, ZeroRateSpecIsByteIdenticalToBaseline) {
   zero.fault.seed = 1234;  // inert: no rate armed
   ASSERT_FALSE(zero.fault.enabled());
 
-  const MatrixRun base = run_with_threads(plain, 1);
-  const MatrixRun zeroed = run_with_threads(zero, 1);
+  const MatrixRun base = run_spec(plain);
+  const MatrixRun zeroed = run_spec(zero);
   EXPECT_EQ(zeroed.result.inject_time, base.result.inject_time);
   EXPECT_EQ(zeroed.result.arrive_time, base.result.arrive_time);
   EXPECT_EQ(zeroed.result.runtime, base.result.runtime);

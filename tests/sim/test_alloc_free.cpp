@@ -22,8 +22,7 @@
 
 namespace {
 
-// Atomic: the sharded-tick test runs worker-pool lanes, and any lane's
-// allocation must both count and not race the counter.
+// Atomic, so an allocation on any thread counts without racing the counter.
 std::atomic<std::uint64_t> g_allocs{0};
 
 }  // namespace
@@ -253,54 +252,9 @@ TEST(AllocFreeKernel, ReplaySessionPassesAfterWarmupAreAllocationFree) {
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
 }
 
-TEST(AllocFreeKernel, ShardedTickSteadyStateIsAllocationFree) {
-  // The parallel engine must hold the same bar: with a 4-lane worker pool
-  // sharding every ENoC cycle (grain 0), warmed-up passes may not allocate
-  // on the dispatching thread — outboxes, clear masks and shard state all
-  // retain capacity, and WorkerPool::run() publishes phases without heap
-  // traffic. g_allocs counts process-wide (atomically), so worker lanes are
-  // held to the same zero: warmed-up router ticks only push into
-  // capacity-retaining outboxes and fixed-capacity FlitRing/scratch.
-  fullsys::AppParams app;
-  app.name = "jacobi";
-  app.cores = 16;
-  app.lines_per_core = 8;
-  app.iterations = 1;
-  fullsys::FullSysParams sys;
-  sys.l1_sets = 8;
-  sys.l1_ways = 2;
-  sys.l2_sets = 32;
-  sys.l2_ways = 4;
-  core::NetSpec spec;
-  spec.kind = core::NetKind::kEnoc;
-  const auto exec = core::run_execution(app, spec, sys);
-  const core::ReplayTrace rt(exec.trace);
-  ASSERT_FALSE(rt.empty());
-
-  core::ReplayConfig cfg;
-  cfg.threads = 4;
-  core::ReplaySession session(rt, spec, cfg);
-  // Grain 0: the router tick shards every cycle.
-  session.network().set_parallel_grain(0);
-  session.run_pass();  // warmup: size pass buffers, shard outboxes, masks
-  session.run_pass();  // warmup: prove the footprint converged
-  const Cycle runtime = session.result().runtime;
-
-  const std::uint64_t allocs_before = g_allocs;
-  const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
-  constexpr int kPasses = 8;
-  for (int p = 0; p < kPasses; ++p) {
-    const auto& res = session.run_pass();
-    ASSERT_EQ(res.runtime, runtime);  // sharded == serial schedule, exactly
-  }
-  EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "sharded replay passes hit the heap (shard state leaked capacity)";
-  EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
-}
-
 TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
   // Same bar over the optical plane: the hybrid steers the workload across
-  // both layers, so warmed-up passes exercise the ENoC shard outboxes AND
+  // both layers, so warmed-up passes exercise the ENoC router outbox AND
   // the ONoC per-channel arbitration queues. None of it may touch the heap
   // after two warmup passes.
   fullsys::AppParams app;
@@ -319,11 +273,8 @@ TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
   const core::ReplayTrace rt(exec.trace);
   ASSERT_FALSE(rt.empty());
 
-  core::ReplayConfig cfg;
-  cfg.threads = 4;
-  core::ReplaySession session(rt, spec, cfg);
-  session.network().set_parallel_grain(0);
-  session.run_pass();  // warmup: size arb queues, shard outboxes, batches
+  core::ReplaySession session(rt, spec, core::ReplayConfig{});
+  session.run_pass();  // warmup: size arb queues, the outbox, batches
   session.run_pass();  // warmup: prove the footprint converged
   const Cycle runtime = session.result().runtime;
 
@@ -335,7 +286,7 @@ TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
     ASSERT_EQ(res.runtime, runtime);
   }
   EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "sharded optical-plane replay passes hit the heap";
+      << "hybrid optical-plane replay passes hit the heap";
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
 }
 
