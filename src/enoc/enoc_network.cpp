@@ -42,6 +42,8 @@ void EnocNetwork::reset() {
   for (auto& w : active_bits_) w = 0;
   for (auto& c : link_stuck_until_) c = 0;
   outbox_.clear();
+  link_q_.clear();
+  credit_q_.clear();
   in_flight_ = 0;
   // The tick event (if any) died with the simulator's queue reset; the next
   // inject re-arms the clock.
@@ -99,15 +101,8 @@ void EnocNetwork::apply_forward(NodeId node, int out_dir, const Flit& flit) {
   if (next == kInvalidNode) {
     throw std::logic_error(name() + ": flit forwarded off the fabric edge");
   }
-  const int arrival_port = topo_.arrival_port(node, out_dir);
-  Flit f = flit;
-  auto ev = [this, next, arrival_port, f] {
-    routers_[static_cast<std::size_t>(next)]->receive_flit(arrival_port, f);
-    mark_active(next);
-  };
-  static_assert(InlineFn::fits_inline<decltype(ev)>(),
-                "link-traversal closure must stay within the event SBO budget");
-  sim().schedule_in(params_.link_latency, std::move(ev));
+  link_q_.push_back({sim().now() + params_.link_latency, next,
+                     topo_.arrival_port(node, out_dir), flit});
 }
 
 void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
@@ -204,13 +199,11 @@ void EnocNetwork::apply_credit(NodeId node, int in_dir, int vc) {
   if (up == kInvalidNode) {
     throw std::logic_error(name() + ": credit to nonexistent neighbor");
   }
-  const int up_out = topo_.arrival_port(node, in_dir);
   // A credit can unblock a router, but never *activate* one: a
   // credit-starved router still holds the blocked flits, so has_work() keeps
   // it in the active set until they drain.
-  sim().schedule_in(params_.credit_latency, [this, up, up_out, vc] {
-    routers_[static_cast<std::size_t>(up)]->receive_credit(up_out, vc);
-  });
+  credit_q_.push_back({sim().now() + params_.credit_latency, up,
+                       topo_.arrival_port(node, in_dir), vc});
 }
 
 void EnocNetwork::ensure_ticking() {
@@ -219,8 +212,24 @@ void EnocNetwork::ensure_ticking() {
   sim().schedule_in(1, [this] { tick(); });
 }
 
+void EnocNetwork::apply_arrivals() {
+  const Cycle now = sim().now();
+  while (!link_q_.empty() && link_q_.front().due <= now) {
+    const LinkArrival& a = link_q_.front();
+    routers_[static_cast<std::size_t>(a.node)]->receive_flit(a.port, a.flit);
+    mark_active(a.node);
+    link_q_.pop_front();
+  }
+  while (!credit_q_.empty() && credit_q_.front().due <= now) {
+    const CreditArrival& c = credit_q_.front();
+    routers_[static_cast<std::size_t>(c.node)]->receive_credit(c.port, c.vc);
+    credit_q_.pop_front();
+  }
+}
+
 void EnocNetwork::tick() {
   ++active_cycles_;
+  apply_arrivals();
   if (exhaustive_tick_) {
     // Seed policy (kept as a test oracle): tick every router every cycle,
     // through the same outbox and drain as the scoreboard scan.

@@ -17,12 +17,21 @@
 // (every pipeline phase early-outs on empty buffers), which the exhaustive
 // tick mode (set_exhaustive_tick_for_test) lets tests verify directly.
 //
-// Two-phase tick: routers compute, the network applies. Router ticks are
-// pure per-router — forwards, ejections and credits go to one RouterOutbox,
+// One tick, three steps: arrive, compute, apply. Links and credits cost no
+// kernel events. The drain appends each forwarded flit and returned credit
+// to a network-owned queue stamped with its due cycle (now + the fixed link
+// or credit latency, so appends arrive in due order), and a tick first
+// applies every entry due by now, in append order, before any router ticks.
+// That is exact because only router ticks read input VCs and credits: an
+// entry applied at the start of the first tick at or after its due cycle is
+// seen by the same reads as one applied at the due cycle itself — including
+// a credit still in flight when the clock self-gates. Router ticks are pure
+// per-router — forwards, ejections and credits go to one RouterOutbox,
 // never to the network — and the network drains the outbox after the scan,
 // in ascending router-id order. Both modes (scoreboard and the exhaustive
-// oracle) route through the same outbox + drain path. Parallel ticking was
-// measured and deleted; DESIGN.md §10 records why.
+// oracle) route through the same queues, outbox and drain. Kernel events
+// therefore scale with network ticks, not with flit hops. Parallel ticking
+// was measured and deleted; DESIGN.md §10 records why.
 #pragma once
 
 #include <functional>
@@ -111,6 +120,9 @@ class EnocNetwork final : public noc::Network {
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
 
+  /// Applies every link and credit traversal due at or before now, in
+  /// append order; the first step of tick().
+  void apply_arrivals();
   void tick();
   void ensure_ticking();
   void mark_active(NodeId n);
@@ -142,6 +154,25 @@ class EnocNetwork final : public noc::Network {
   /// Side effects of the current cycle's router ticks, in ascending
   /// router-id order; drained and cleared at the end of tick().
   RouterOutbox outbox_;
+  /// A flit crossing a link, due at `node`'s input `port`.
+  struct LinkArrival {
+    Cycle due = 0;
+    NodeId node = kInvalidNode;
+    int port = 0;
+    Flit flit;
+  };
+  /// A credit crossing a link back, due at `node`'s output (`port`, `vc`).
+  struct CreditArrival {
+    Cycle due = 0;
+    NodeId node = kInvalidNode;
+    int port = 0;
+    int vc = 0;
+  };
+  /// Traversals in flight, in due order: the latencies are fixed per
+  /// network, so appends arrive sorted. Capacity is retained across cycles
+  /// and resets.
+  Ring<LinkArrival> link_q_;
+  Ring<CreditArrival> credit_q_;
   std::uint64_t in_flight_ = 0;
   bool ticking_ = false;
   bool exhaustive_tick_ = false;

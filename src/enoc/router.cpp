@@ -59,11 +59,12 @@ void Router::configure() {
     sa_output_arb_.push_back(make_arbiter(params_.arbiter, ports_));
     va_arb_.push_back(make_arbiter(params_.arbiter, ports_ * vcount_));
   }
-  req_vc_.assign(static_cast<std::size_t>(vcount_), false);
-  req_port_.assign(static_cast<std::size_t>(ports_), false);
-  req_pv_.assign(nvc, false);
+  req_vc_.resize(vcount_);
+  req_port_.assign(static_cast<std::size_t>(ports_), RequestMask(ports_));
+  req_pv_.assign(static_cast<std::size_t>(ports_),
+                 RequestMask(static_cast<int>(nvc)));
+  req_out_.resize(ports_);
   sa_nominee_.assign(static_cast<std::size_t>(ports_), -1);
-  sa_winner_.assign(static_cast<std::size_t>(ports_), -1);
   va_list_.reserve(nvc);
   rc_list_.reserve(nvc);
   sa_reexposed_.reserve(static_cast<std::size_t>(ports_));
@@ -200,15 +201,16 @@ void Router::phase_fused_gather_sa() {
   std::fill(sa_nominee_.begin(), sa_nominee_.end(), -1);
 
   int cur_port = -1;
-  bool cur_any = false;
+  int cur_base = 0;  // cur_port * vcount_
+  int cur_end = 0;   // first vc_index past cur_port
   bool any_nominee = false;
   auto close_port = [&] {
-    if (cur_port >= 0 && cur_any) {
+    if (cur_port >= 0) {
       const int nom = sa_input_arb_[static_cast<std::size_t>(cur_port)]->grant(
           req_vc_);
       sa_nominee_[static_cast<std::size_t>(cur_port)] = nom;
       if (nom >= 0) any_nominee = true;
-      std::fill(req_vc_.begin(), req_vc_.end(), false);
+      req_vc_.clear();
     }
   };
   for (std::size_t w = 0; w < occ_.size(); ++w) {
@@ -217,20 +219,18 @@ void Router::phase_fused_gather_sa() {
       const int b = std::countr_zero(bits);
       bits &= bits - 1;
       const int idx = static_cast<int>((w << 6)) + b;
-      const int p = idx / vcount_;
-      const int v = idx % vcount_;
       const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
       if (ivc.out_vc >= 0) {
         // SA candidate iff the downstream buffer has a credit (lazy scan:
         // only occupied, allocated VCs ever look at credit counters).
         if (outputs_[vc_index(ivc.out_port, ivc.out_vc)].credits > 0) {
-          if (p != cur_port) {
+          if (idx >= cur_end) {  // first request of a new input port
             close_port();
-            cur_port = p;
-            cur_any = false;
+            cur_port = idx / vcount_;
+            cur_base = cur_port * vcount_;
+            cur_end = cur_base + vcount_;
           }
-          req_vc_[static_cast<std::size_t>(v)] = true;
-          cur_any = true;
+          req_vc_.set(idx - cur_base);
         }
       } else if (ivc.out_port >= 0) {
         va_list_.push_back(idx);
@@ -242,34 +242,28 @@ void Router::phase_fused_gather_sa() {
   close_port();
   if (!any_nominee) return;
 
-  // Stage 2: each output port grants one nominated input port (unchanged
-  // from the phase-ordered engine; nominations are at most `ports_` wide).
-  auto& winner_in = sa_winner_;  // input port per output port
-  std::fill(winner_in.begin(), winner_in.end(), -1);
-  for (int q = 0; q < ports_; ++q) {
-    std::fill(req_port_.begin(), req_port_.end(), false);
-    bool any = false;
-    for (int p = 0; p < ports_; ++p) {
-      const int nom = sa_nominee_[static_cast<std::size_t>(p)];
-      if (nom < 0) continue;
-      if (in_vc(p, nom).out_port == q) {
-        req_port_[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      const int w = sa_output_arb_[q]->grant(req_port_);
-      if (w >= 0) winner_in[static_cast<std::size_t>(q)] = w;
-    }
+  // Stage 2: one pass over the nominees builds every output port's request
+  // mask; then only the output ports holding requests arbitrate, in
+  // ascending port order, and each winner traverses the switch at once. A
+  // grant reads only its own port's mask, fixed before any traversal, so
+  // this equals granting every port first and sending afterwards.
+  for (int p = 0; p < ports_; ++p) {
+    const int nom = sa_nominee_[static_cast<std::size_t>(p)];
+    if (nom < 0) continue;
+    const int q = in_vc(p, nom).out_port;
+    req_port_[static_cast<std::size_t>(q)].set(p);
+    req_out_.set(q);
   }
-
-  for (int q = 0; q < ports_; ++q) {
-    const int w = winner_in[static_cast<std::size_t>(q)];
+  for (int q = req_out_.next_set(0); q >= 0; q = req_out_.next_set(q + 1)) {
+    auto& req = req_port_[static_cast<std::size_t>(q)];
+    const int w = sa_output_arb_[static_cast<std::size_t>(q)]->grant(req);
+    req.clear();
     if (w >= 0) {
       send_flit(w, sa_nominee_[static_cast<std::size_t>(w)]);
       ++stat_sa_grants_;
     }
   }
+  req_out_.clear();
 }
 
 void Router::send_flit(int in_port, int in_vc_idx) {
@@ -318,34 +312,26 @@ void Router::phase_vc_allocation() {
   // touches allocated VCs, so it cannot add or remove routed-unallocated
   // VCs), but busy bits are read live here — post-SA — so an output VC
   // freed by a departing tail this cycle is grantable, exactly as in the
-  // phase-ordered engine. Gather-then-grant per output port is equivalent
-  // to the old interleaved full scan: a grant for port q touches only q's
-  // busy bits and the winner's out_vc, neither of which any other port's
-  // request set reads.
-  for (int q = 0; q < ports_; ++q) {
-    bool any = false;
-    for (const int idx : va_list_) {
-      const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
-      if (ivc.out_port != q || ivc.out_vc >= 0) continue;
-      // A free VC in the packet's allowed range must exist.
-      const auto [lo, hi] = allowed_vcs(ivc.fifo.front().cls, ivc.next_dateline);
-      bool free_exists = false;
-      for (int ov = lo; ov < hi; ++ov) {
-        if (!outputs_[vc_index(q, ov)].busy) {
-          free_exists = true;
-          break;
-        }
-      }
-      if (free_exists) {
-        req_pv_[static_cast<std::size_t>(idx)] = true;
-        any = true;
+  // phase-ordered engine. One pass builds every output port's request mask
+  // before any grant: a grant for port q touches only q's busy bits and the
+  // winner's out_vc, neither of which any other port's requests read.
+  for (const int idx : va_list_) {
+    const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
+    const int q = ivc.out_port;
+    // A free VC in the packet's allowed range must exist.
+    const auto [lo, hi] = allowed_vcs(ivc.fifo.front().cls, ivc.next_dateline);
+    for (int ov = lo; ov < hi; ++ov) {
+      if (!outputs_[vc_index(q, ov)].busy) {
+        req_pv_[static_cast<std::size_t>(q)].set(idx);
+        req_out_.set(q);
+        break;
       }
     }
-    if (!any) continue;
-    const int g = va_arb_[q]->grant(req_pv_);
-    for (const int idx : va_list_) {  // lazy scratch: clear only what we set
-      req_pv_[static_cast<std::size_t>(idx)] = false;
-    }
+  }
+  for (int q = req_out_.next_set(0); q >= 0; q = req_out_.next_set(q + 1)) {
+    auto& req = req_pv_[static_cast<std::size_t>(q)];
+    const int g = va_arb_[static_cast<std::size_t>(q)]->grant(req);
+    req.clear();
     if (g < 0) continue;
     const int p = g / vcount_;
     const int v = g % vcount_;
@@ -361,6 +347,7 @@ void Router::phase_vc_allocation() {
       }
     }
   }
+  req_out_.clear();
 }
 
 void Router::phase_route_compute() {

@@ -22,6 +22,11 @@
 // what the phase-ordered full scans observed. Cost per tick is O(occupied
 // VCs), not O(ports * vcs).
 //
+// Allocation runs on word masks (RequestMask): SA stage 1 collects each
+// input port's requesting VCs into one mask; SA stage 2 and VA each build
+// every output port's request mask in one pass over their candidates, then
+// arbitrate only the output ports holding requests, in ascending port order.
+//
 // Side effects leave through a RouterOutbox instead of mutating the network
 // directly: forwarded flits, ejections and upstream credits are recorded in
 // emission order and the owning network drains them after every router has
@@ -29,9 +34,9 @@
 // router-local state).
 //
 // The datapath is allocation-free in steady state: input VCs are
-// fixed-capacity rings sized to buffer_depth, injection staging is a
-// capacity-retaining ring, allocator request/grant scratch and the gather
-// lists live in member vectors sized at construction, and route computation
+// fixed-capacity rings holding buffer_depth flits, injection staging is a
+// capacity-retaining ring, allocator request masks and the gather
+// lists live in members sized at construction, and route computation
 // uses the fixed RoutePorts set. Ticking an idle router (has_work() ==
 // false) is a no-op — the owning network exploits this with an activity
 // scoreboard and only ticks routers that hold flits.
@@ -43,6 +48,7 @@
 //    when it traverses a wrap link and resets on a dimension change.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -89,32 +95,33 @@ struct RouterOutbox {
   void clear() { entries.clear(); }
 };
 
-/// Growable FIFO ring of flits. Capacity is retained across drain/fill
-/// cycles, so a warmed-up queue never touches the heap again — unlike
-/// std::deque, which releases its blocks whenever it empties.
-class FlitRing {
+/// Growable FIFO ring. Capacity is a power of two and is retained across
+/// drain/fill cycles, so a warmed-up queue never touches the heap again —
+/// unlike std::deque, which releases its blocks whenever it empties.
+template <class T>
+class Ring {
  public:
   void reserve(std::size_t cap) {
-    if (cap > buf_.size()) regrow(cap);
+    if (cap > buf_.size()) regrow(std::bit_ceil(cap));
   }
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
-  Flit& front() {
+  T& front() {
     assert(count_ > 0);
     return buf_[head_];
   }
-  const Flit& front() const {
+  const T& front() const {
     assert(count_ > 0);
     return buf_[head_];
   }
-  void push_back(const Flit& f) {
+  void push_back(const T& v) {
     if (count_ == buf_.size()) regrow(buf_.empty() ? 8 : buf_.size() * 2);
-    buf_[(head_ + count_) % buf_.size()] = f;
+    buf_[(head_ + count_) & (buf_.size() - 1)] = v;
     ++count_;
   }
   void pop_front() {
     assert(count_ > 0);
-    head_ = (head_ + 1) % buf_.size();
+    head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
   }
   /// Empties the ring, retaining its buffer (session reset path).
@@ -125,18 +132,20 @@ class FlitRing {
 
  private:
   void regrow(std::size_t cap) {
-    std::vector<Flit> next(cap);
+    std::vector<T> next(cap);
     for (std::size_t i = 0; i < count_; ++i) {
-      next[i] = buf_[(head_ + i) % buf_.size()];
+      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
     }
     buf_ = std::move(next);
     head_ = 0;
   }
 
-  std::vector<Flit> buf_;
+  std::vector<T> buf_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
+
+using FlitRing = Ring<Flit>;
 
 class Router : public Component {
  public:
@@ -192,7 +201,7 @@ class Router : public Component {
 
  private:
   struct InputVc {
-    FlitRing fifo;           // fixed capacity == params.buffer_depth
+    FlitRing fifo;           // holds at most params.buffer_depth flits
     int out_port = -1;       // RC result; -1 = unrouted
     int out_vc = -1;         // VA result; -1 = unallocated
     std::uint8_t next_dateline = 0;  // subclass the packet occupies downstream
@@ -265,12 +274,12 @@ class Router : public Component {
   // VC-allocation arbiters: one per output port.
   std::vector<std::unique_ptr<Arbiter>> va_arb_;
 
-  // Allocator scratch, reused every tick (capacity fixed at construction).
-  std::vector<bool> req_vc_;       // [vcount]
-  std::vector<bool> req_port_;     // [ports]
-  std::vector<bool> req_pv_;       // [ports * vcount]
-  std::vector<int> sa_nominee_;    // per input port: nominated VC
-  std::vector<int> sa_winner_;     // per output port: granted input port
+  // Allocator request masks, reused every tick (sized at construction).
+  RequestMask req_vc_;                 // SA stage 1: VCs of one input port
+  std::vector<RequestMask> req_port_;  // SA stage 2, per output port: inputs
+  std::vector<RequestMask> req_pv_;    // VA, per output port: (port, vc)
+  RequestMask req_out_;                // output ports holding a request
+  std::vector<int> sa_nominee_;        // per input port: nominated VC
 
   // Gather lists filled by the fused scan (ascending vc_index order) and a
   // list of VCs whose tail left in SA this cycle, re-exposing the next

@@ -70,9 +70,11 @@ TEST(Quiescence, SparseWorkloadCostScalesWithActiveCyclesNotWallClock) {
             static_cast<std::uint64_t>(net.node_count()) *
                 net.active_cycles() / 4u);
 
-  // Event count likewise tracks activity (flit hops + credits + per-cycle
-  // ticks while running), not the wall-clock span.
+  // Event count likewise tracks activity, not the wall-clock span: links
+  // and credits cost no kernel events, so it is one tick per running cycle
+  // plus the one scheduled injection.
   EXPECT_LT(sim.events_executed(), 20000u);
+  EXPECT_EQ(sim.events_executed(), net.active_cycles() + 1u);
 }
 
 struct WorkloadResult {

@@ -125,15 +125,16 @@ TEST(AllocFreeKernel, SteadyStateSchedulesAndDispatchesWithoutHeapTraffic) {
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
 }
 
-TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
-  // The full flit datapath — network inject, flit synthesis into the staging
-  // ring, VC buffering, three-phase pipeline, link events, credits, ejection
-  // and delivery — must stop touching the heap once every retained-capacity
-  // structure (flit rings, pending-message table, wheel buckets, latency
-  // histogram) has warmed up to the workload's footprint.
+// The full flit datapath — network inject, flit synthesis into the staging
+// ring, VC buffering, three-phase pipeline, link and credit traversal,
+// ejection and delivery — must stop touching the heap once every
+// retained-capacity structure (flit rings, pending-message table, in-flight
+// link and credit queues, wheel buckets, latency histogram) has warmed up to
+// the workload's footprint.
+void expect_router_traversal_allocation_free(const enoc::EnocParams& params) {
   Simulator sim;
   const auto topo = noc::Topology::mesh(4, 4);
-  enoc::EnocNetwork net(sim, "enoc", topo, enoc::EnocParams{});
+  enoc::EnocNetwork net(sim, "enoc", topo, params);
   std::uint64_t delivered = 0;
   net.set_deliver_callback([&](const noc::Message&) { ++delivered; });
 
@@ -172,6 +173,19 @@ TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
   EXPECT_EQ(g_allocs - allocs_before, 0u)
       << "steady-state flit injection/forwarding hit the heap";
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
+}
+
+TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
+  expect_router_traversal_allocation_free(enoc::EnocParams{});
+}
+
+TEST(AllocFreeKernel, SteadyStateRouterTraversalAtLatencyTwoIsAllocationFree) {
+  // Two-cycle links and credits keep two cycles of traversals in flight at
+  // once, so the in-flight queues hold entries across ticks.
+  enoc::EnocParams params;
+  params.link_latency = 2;
+  params.credit_latency = 2;
+  expect_router_traversal_allocation_free(params);
 }
 
 TEST(AllocFreeKernel, ReplayEligibilityBatcherSteadyStateIsAllocationFree) {
